@@ -3,7 +3,7 @@ GO ?= go
 # Budget per fuzz target for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench vet fmt check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
+.PHONY: build test race bench vet fmt fma-check check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
 
 all: build test
 
@@ -119,5 +119,18 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# check is the pre-commit gate: vet + formatting + build + tests.
-check: vet fmt build test
+# fma-check keeps the kernels free of fused multiply-adds. Go may fuse
+# `s += a*b` into one FMA instruction on arm64 (and amd64 with
+# GOAMD64=v3); an FMA rounds once where the source rounds twice, so
+# results would differ by platform and the bitwise contracts would hold
+# on amd64 only. The kernels round each product explicitly
+# (float32(a*b)); this target cross-compiles the two kernel packages for
+# arm64 and fails on any fused instruction whose source line is in them.
+fma-check:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/lstm 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
+	fused=$$(echo "$$out" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' | grep -E 'internal/(tensor|lstm)/[^/]+\.go:' || true); \
+	if [ -n "$$fused" ]; then echo "fma-check: fused multiply-add in kernel code:"; echo "$$fused"; exit 1; fi; \
+	echo "fma-check: no fused multiply-adds in internal/tensor, internal/lstm"
+
+# check is the pre-commit gate: vet + formatting + FMA check + build + tests.
+check: vet fmt fma-check build test

@@ -52,6 +52,15 @@ func main() {
 
 // run is the whole command behind a testable seam: flags come from
 // args, output goes to w, failures return instead of exiting.
+// Connection limits of the router's HTTP listener: a client has
+// readHeaderTimeout to finish sending its request headers, and a
+// keep-alive connection idle for idleTimeout is closed. Tests may lower
+// them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("etarouter", flag.ContinueOnError)
 	var (
@@ -132,7 +141,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fmt.Fprintf(w, "routing %d replicas: %s\n", len(splitReplicas(*replicas)), *replicas)
 	fmt.Fprintf(w, "listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: rt.Handler()}
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	select {

@@ -23,6 +23,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"time"
 
 	"etalstm"
 	"etalstm/internal/obs"
@@ -268,6 +269,15 @@ func runCoordinator(ctx context.Context, w io.Writer, addr string, cfg etalstm.C
 	}
 }
 
+// Connection limits of the metrics listener: a scraper has
+// readHeaderTimeout to finish sending its request headers, and a
+// keep-alive connection idle for idleTimeout is closed. Tests may lower
+// them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveMetrics exposes the process-wide telemetry registry over HTTP
 // for the duration of the run. The bound address is printed (addr may
 // end in :0), so scrapers — and the obs smoke test — can find the port.
@@ -282,7 +292,7 @@ func serveMetrics(addr string, tracer *rtrace.Tracer, w io.Writer) (func(), erro
 		mux.Handle("GET /debug/traces", tracer.Handler())
 		mux.Handle("GET /debug/traces/{id}", tracer.Handler())
 	}
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go hs.Serve(ln)
 	fmt.Fprintf(w, "metrics: http://%s/metrics\n", ln.Addr())
 	return func() { hs.Close() }, nil

@@ -110,7 +110,7 @@ func Forward(ws *tensor.Workspace, p *Params, x, hPrev, sPrev *tensor.Matrix) (h
 
 	s = ws.Get(batch, p.Hidden)
 	for k := range s.Data {
-		s.Data[k] = f.Data[k]*sPrev.Data[k] + i.Data[k]*cg.Data[k]
+		s.Data[k] = float32(f.Data[k]*sPrev.Data[k]) + float32(i.Data[k]*cg.Data[k])
 	}
 	h = ws.Get(batch, p.Hidden)
 	for k := range h.Data {
@@ -197,7 +197,7 @@ func Backward(ws *tensor.Workspace, p *Params, grads *Grads, cache *FWCache, in 
 		ts := tensor.Tanh32(s)
 
 		dhk := dh.Data[k]
-		ds := dhk * o * (1 - ts*ts)
+		ds := float32(dhk * o * (1 - float32(ts*ts)))
 		if in.DS != nil {
 			ds += in.DS.Data[k]
 		}
@@ -205,7 +205,7 @@ func Backward(ws *tensor.Workspace, p *Params, grads *Grads, cache *FWCache, in 
 		dGate[GateO].Data[k] = dhk * ts * o * (1 - o)
 		dGate[GateF].Data[k] = ds * sp * f * (1 - f)
 		dGate[GateI].Data[k] = ds * c * i * (1 - i)
-		dGate[GateC].Data[k] = ds * i * (1 - c*c)
+		dGate[GateC].Data[k] = ds * i * (1 - float32(c*c))
 		dsPrev.Data[k] = ds * f
 	}
 	ws.Put(dh)

@@ -89,9 +89,9 @@ func ComputeP1(ws *tensor.Workspace, cache *FWCache) *P1 {
 
 		p.Pf.Data[k] = sp * f * (1 - f)
 		p.Pi.Data[k] = c * i * (1 - i)
-		p.Pc.Data[k] = i * (1 - c*c)
+		p.Pc.Data[k] = i * (1 - float32(c*c))
 		p.Po.Data[k] = ts * o * (1 - o)
-		p.Ps.Data[k] = o * (1 - ts*ts)
+		p.Ps.Data[k] = o * (1 - float32(ts*ts))
 		p.Pfs.Data[k] = f
 	}
 	sp.End()
@@ -144,7 +144,7 @@ func BackwardFromP1(ws *tensor.Workspace, p *Params, grads *Grads, x, hPrev *ten
 	// the paper describes.
 	for k := 0; k < batch*hidden; k++ {
 		dhk := dh.Data[k]
-		ds := dhk * p1.Ps.Data[k]
+		ds := float32(dhk * p1.Ps.Data[k])
 		if in.DS != nil {
 			ds += in.DS.Data[k]
 		}

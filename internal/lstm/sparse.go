@@ -8,8 +8,8 @@ import (
 // Workspace object slots for the sparse-backward headers (slots 1 and 2
 // belong to FWCache and P1, see cell.go).
 const (
-	wsSlotSparseP1 uint8 = 3
-	wsSlotTopK     uint8 = 4
+	wsSlotSparseP1      uint8 = 3
+	wsSlotSparseScratch uint8 = 4
 )
 
 // The six P1 planes in Matrices() order. The first four coincide with
@@ -172,7 +172,7 @@ func BackwardFromP1Sparse(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 		off := i * hidden
 		for n := pl.start[i]; n < pl.start[i+1]; n++ {
 			k := off + int(pl.idx[n])
-			ds.Data[k] = dh.Data[k]*pl.val[n] + ds.Data[k]
+			ds.Data[k] = float32(dh.Data[k]*pl.val[n]) + ds.Data[k]
 		}
 	}
 
@@ -202,14 +202,15 @@ func BackwardFromP1Sparse(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 // the gate and plane orders coincide), so each skipped term is a
 // multiply-add of an exact zero. Per-accumulator accumulation order
 // matches the dense kernel: gates ascend, batch rows ascend, columns
-// ascend.
+// ascend. The loops are register-blocked (gatherDots, scatterCols):
+// blocking changes which accumulators share a pass over memory, never
+// the order of any one accumulator's terms.
 func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPrev *tensor.Matrix, sp1 *SparseP1, dGate *[NumGates]*tensor.Matrix, dsPrev *tensor.Matrix, topK int) BPOutput {
 	span := ws.Recorder().Begin(obs.PhaseBPMatMul)
 	batch := dsPrev.Rows
-	hidden := p.Hidden
 	dx := ws.Get(batch, p.Input)
 	dhPrev := ws.Get(batch, p.Hidden)
-	sel := getTopKSelector(ws)
+	sc := getSparseScratch(ws)
 	for g := Gate(0); g < NumGates; g++ {
 		pl := &sp1.planes[g]
 		dg := dGate[g]
@@ -220,25 +221,9 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 			if len(pat) == 0 {
 				continue
 			}
-			dgrow := dg.Row(i)
-			dxrow := dx.Row(i)
-			for j := 0; j < p.Input; j++ {
-				wrow := p.W[g].Row(j)
-				var sum float32
-				for _, kk := range pat {
-					sum += dgrow[kk] * wrow[kk]
-				}
-				dxrow[j] += sum
-			}
-			dhrow := dhPrev.Row(i)
-			for j := 0; j < hidden; j++ {
-				urow := p.U[g].Row(j)
-				var sum float32
-				for _, kk := range pat {
-					sum += dgrow[kk] * urow[kk]
-				}
-				dhrow[j] += sum
-			}
+			vals := sc.compact(pat, dg.Row(i))
+			gatherDots(dx.Row(i), p.W[g], pat, vals)
+			gatherDots(dhPrev.Row(i), p.U[g], pat, vals)
 		}
 		if grads == nil {
 			continue
@@ -246,42 +231,232 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 		// δW_g += x_tᵀ⊗δgate_g ; δU_g += h_{t-1}ᵀ⊗δgate_g ; δB_g += Σδgate_g
 		// — the weight-gradient side, where the per-row top-k structured
 		// sparsifier applies.
-		for k := 0; k < batch; k++ {
-			pat := pl.rowIdx(k)
-			if len(pat) == 0 {
+		sc.transpose(pl, dg, topK)
+		scatterCols(grads.W[g], x, sc)
+		scatterCols(grads.U[g], hPrev, sc)
+		brow := grads.B[g]
+		for kk, cnt := range sc.colN {
+			sum := brow[kk]
+			for _, e := range sc.column(kk, cnt) {
+				sum += e.v
+			}
+			brow[kk] = sum
+		}
+	}
+	sc.put(ws)
+	span.End()
+	return BPOutput{DX: dx, DHPrev: dhPrev, DSPrev: dsPrev}
+}
+
+// gatherDots adds to dst[j] the dot product of vals with row j of w
+// taken at the pattern's columns, for every row j of w. vals[n] is the
+// δgate value at column pat[n]. Four rows of w share each pass over
+// the pattern; every sum still runs n in ascending order.
+func gatherDots(dst []float32, w *tensor.Matrix, pat []int32, vals []float32) {
+	vals = vals[:len(pat)]
+	h := w.Cols
+	j := 0
+	for ; j+4 <= w.Rows; j += 4 {
+		// Four rows of one length h: the bounds check on w0[kk]
+		// covers the other three loads.
+		o := j * h
+		w0 := w.Data[o:][:h:h]
+		w1 := w.Data[o+h:][:h:h]
+		w2 := w.Data[o+2*h:][:h:h]
+		w3 := w.Data[o+3*h:][:h:h]
+		var s0, s1, s2, s3 float32
+		for n, kk := range pat {
+			v := vals[n]
+			s0 += float32(v * w0[kk])
+			s1 += float32(v * w1[kk])
+			s2 += float32(v * w2[kk])
+			s3 += float32(v * w3[kk])
+		}
+		dst[j] += s0
+		dst[j+1] += s1
+		dst[j+2] += s2
+		dst[j+3] += s3
+	}
+	for ; j < w.Rows; j++ {
+		wr := w.Row(j)
+		var sum float32
+		for n, kk := range pat {
+			sum += float32(vals[n] * wr[kk])
+		}
+		dst[j] += sum
+	}
+}
+
+// scatterCols adds aᵀ·δgate into dst (a's width × hidden) from the
+// column lists in sc: element (i, kk) collects a[k][i]·v over column
+// kk's (k, v) entries, k ascending — the order the row-by-row outer
+// product gave it. Eight dst rows are updated per pass over the lists,
+// their accumulators in registers: each accumulator is a dependent
+// chain of adds, and eight chains keep the adder busy where four would
+// wait on add latency. A group of rows whose a column holds an exact
+// zero anywhere falls back to one row per pass, where a zero a[k][i]
+// adds nothing, as in tensor.AddMatMulTransA.
+func scatterCols(dst, a *tensor.Matrix, sc *sparseScratch) {
+	ad, m := a.Data, a.Cols
+	i := 0
+	for ; i+8 <= m; i += 8 {
+		if hasZero(a, i, i+8) {
+			for q := i; q < i+8; q++ {
+				scatterCol(dst.Row(q), a, q, sc)
+			}
+			continue
+		}
+		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
+		d4, d5, d6, d7 := dst.Row(i+4), dst.Row(i+5), dst.Row(i+6), dst.Row(i+7)
+		for kk, cnt := range sc.colN {
+			if cnt == 0 {
 				continue
 			}
-			dgrow := dg.Row(k)
-			if topK > 0 {
-				pat = sel.Filter(pat, dgrow, topK)
+			s0, s1, s2, s3 := d0[kk], d1[kk], d2[kk], d3[kk]
+			s4, s5, s6, s7 := d4[kk], d5[kk], d6[kk], d7[kk]
+			for _, e := range sc.column(kk, cnt) {
+				ar := ad[int(e.k)*m+i:][:8:8]
+				s0 += float32(ar[0] * e.v)
+				s1 += float32(ar[1] * e.v)
+				s2 += float32(ar[2] * e.v)
+				s3 += float32(ar[3] * e.v)
+				s4 += float32(ar[4] * e.v)
+				s5 += float32(ar[5] * e.v)
+				s6 += float32(ar[6] * e.v)
+				s7 += float32(ar[7] * e.v)
 			}
-			for i, av := range x.Row(k) {
-				if av == 0 {
-					continue
-				}
-				wrow := grads.W[g].Row(i)
-				for _, kk := range pat {
-					wrow[kk] += av * dgrow[kk]
-				}
+			d0[kk], d1[kk], d2[kk], d3[kk] = s0, s1, s2, s3
+			d4[kk], d5[kk], d6[kk], d7[kk] = s4, s5, s6, s7
+		}
+	}
+	for ; i < m; i++ {
+		scatterCol(dst.Row(i), a, i, sc)
+	}
+}
+
+// scatterCol is scatterCols for the single dst row drow = row i,
+// skipping exact-zero a[k][i].
+func scatterCol(drow []float32, a *tensor.Matrix, i int, sc *sparseScratch) {
+	m := a.Cols
+	if !hasNonZero(a, i) {
+		return // every term would be skipped: h_{t-1} = 0 at t = 0
+	}
+	for kk, cnt := range sc.colN {
+		if cnt == 0 {
+			continue
+		}
+		sum := drow[kk]
+		for _, e := range sc.column(kk, cnt) {
+			if av := a.Data[int(e.k)*m+i]; av != 0 {
+				sum += float32(av * e.v)
 			}
-			for i, av := range hPrev.Row(k) {
-				if av == 0 {
-					continue
-				}
-				urow := grads.U[g].Row(i)
-				for _, kk := range pat {
-					urow[kk] += av * dgrow[kk]
-				}
-			}
-			brow := grads.B[g]
-			for _, kk := range pat {
-				brow[kk] += dgrow[kk]
+		}
+		drow[kk] = sum
+	}
+}
+
+// hasNonZero reports whether column i of a holds a non-zero value.
+func hasNonZero(a *tensor.Matrix, i int) bool {
+	for k := 0; k < a.Rows; k++ {
+		if a.Data[k*a.Cols+i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// hasZero reports whether any a[k][j], lo ≤ j < hi, is an exact zero.
+func hasZero(a *tensor.Matrix, lo, hi int) bool {
+	for k := 0; k < a.Rows; k++ {
+		for _, v := range a.Row(k)[lo:hi] {
+			if v == 0 {
+				return true
 			}
 		}
 	}
-	sel.put(ws)
-	span.End()
-	return BPOutput{DX: dx, DHPrev: dhPrev, DSPrev: dsPrev}
+	return false
+}
+
+// sparseScratch is the reusable scratch of the sparse BP-MatMul: the
+// top-k selector, one row's δgate values compacted to its pattern, and
+// the weight-gradient column lists. Column kk's entries sit at
+// cols[kk·batch : kk·batch+colN[kk]], batch rows ascending. It is recycled through the workspace, so a warm cell
+// runs the sparse kernels without allocating.
+type sparseScratch struct {
+	sel   TopKSelector
+	vals  []float32
+	batch int
+	colN  []int32
+	cols  []colEntry
+}
+
+// colEntry is one weight-gradient column list entry: batch row k and
+// the δgate value at (k, column).
+type colEntry struct {
+	k int32
+	v float32
+}
+
+// getSparseScratch pops the recycled scratch or allocates one.
+func getSparseScratch(ws *tensor.Workspace) *sparseScratch {
+	if v := ws.GetObj(wsSlotSparseScratch); v != nil {
+		return v.(*sparseScratch)
+	}
+	return &sparseScratch{}
+}
+
+// put recycles the scratch (its slices keep their capacity).
+func (sc *sparseScratch) put(ws *tensor.Workspace) { ws.PutObj(wsSlotSparseScratch, sc) }
+
+// compact returns row's values at the pattern positions, in pattern
+// order, valid until the next compact call.
+func (sc *sparseScratch) compact(pat []int32, row []float32) []float32 {
+	sc.vals = sc.vals[:0]
+	for _, kk := range pat {
+		sc.vals = append(sc.vals, row[kk])
+	}
+	return sc.vals
+}
+
+// transpose rebuilds the column lists from plane pl's row patterns
+// (each cut to its topK largest-|δgate| columns when topK > 0) and the
+// δgate values dg holds there. Rows are visited in ascending order, so
+// every column lists its entries k ascending.
+func (sc *sparseScratch) transpose(pl *pairPlane, dg *tensor.Matrix, topK int) {
+	batch, hidden := dg.Rows, dg.Cols
+	sc.batch = batch
+	sc.colN = resize(sc.colN, hidden)
+	clear(sc.colN)
+	sc.cols = resize(sc.cols, hidden*batch)
+	for k := 0; k < batch; k++ {
+		pat := pl.rowIdx(k)
+		if len(pat) == 0 {
+			continue
+		}
+		dgrow := dg.Row(k)
+		if topK > 0 {
+			pat = sc.sel.Filter(pat, dgrow, topK)
+		}
+		for _, kk := range pat {
+			sc.cols[int(kk)*batch+int(sc.colN[kk])] = colEntry{int32(k), dgrow[kk]}
+			sc.colN[kk]++
+		}
+	}
+}
+
+// column returns column kk's list, whose length is cnt = colN[kk].
+func (sc *sparseScratch) column(kk int, cnt int32) []colEntry {
+	off := kk * sc.batch
+	return sc.cols[off : off+int(cnt)]
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // TopKSelector picks per-row top-k column subsets for the structured
@@ -291,17 +466,6 @@ type TopKSelector struct {
 	absv []float32
 	keep []int32
 }
-
-// getTopKSelector pops a recycled selector or allocates one.
-func getTopKSelector(ws *tensor.Workspace) *TopKSelector {
-	if v := ws.GetObj(wsSlotTopK); v != nil {
-		return v.(*TopKSelector)
-	}
-	return &TopKSelector{}
-}
-
-// put recycles the selector (scratch keeps its capacity).
-func (s *TopKSelector) put(ws *tensor.Workspace) { ws.PutObj(wsSlotTopK, s) }
 
 // Filter returns the members of idx whose |row[idx[n]]| rank among the
 // k largest, preserving ascending index order. Ties at the cut

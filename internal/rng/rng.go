@@ -78,7 +78,7 @@ func (r *RNG) Float32() float32 {
 
 // Uniform returns a float32 uniformly distributed in [lo, hi).
 func (r *RNG) Uniform(lo, hi float32) float32 {
-	return lo + (hi-lo)*r.Float32()
+	return lo + float32((hi-lo)*r.Float32())
 }
 
 // Norm returns a normally distributed float64 with mean 0 and standard

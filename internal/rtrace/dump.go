@@ -1,6 +1,7 @@
 package rtrace
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -12,8 +13,17 @@ import (
 // DumpTo writes a human-readable flight-recorder dump: every recorded
 // trace as an indented span tree, newest root first. This is the
 // SIGQUIT and panic-path rendering — terse enough for a terminal,
-// complete enough to reconstruct what the process was doing.
+// complete enough to reconstruct what the process was doing. The dump
+// is rendered first and written in one call, so it reaches w whole:
+// log lines written to the same stderr cannot split it, and a reader
+// never sees the header without the spans.
 func (t *Tracer) DumpTo(w io.Writer) {
+	var buf bytes.Buffer
+	t.render(&buf)
+	w.Write(buf.Bytes())
+}
+
+func (t *Tracer) render(w io.Writer) {
 	if t == nil {
 		fmt.Fprintln(w, "rtrace: tracing disabled")
 		return

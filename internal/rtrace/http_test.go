@@ -163,6 +163,20 @@ func TestDumpTo(t *testing.T) {
 	if !strings.Contains(out, "    serve.sweep") {
 		t.Fatalf("sweep not indented:\n%s", out)
 	}
+	// One write: whoever reads the other end of a pipe never sees the
+	// header without the spans.
+	var wc writeCounter
+	tr.DumpTo(&wc)
+	if wc.writes != 1 {
+		t.Fatalf("dump took %d writes, want 1", wc.writes)
+	}
+}
+
+type writeCounter struct{ writes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return len(p), nil
 }
 
 func TestDumpOnSignal(t *testing.T) {

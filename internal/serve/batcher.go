@@ -222,23 +222,10 @@ func (b *batcher) runGroup(ws *tensor.Workspace, group []*pending) {
 		return
 	}
 	b.m.observeBatch(len(live))
-	// The sweep span is a child of the first traced request in the
-	// batch; every other traced member gets a "sweep" event naming the
-	// shared sweep span, so all riders resolve to the same sweep.
 	var sweep *rtrace.Span
+	var copies []*rtrace.Span
 	if b.opts.Tracer != nil {
-		for _, p := range live {
-			sp := rtrace.FromContext(p.ctx)
-			if sp == nil {
-				continue
-			}
-			if sweep == nil {
-				sweep = sp.Child("serve.sweep")
-			} else {
-				sp.Event("sweep", "span_id", sweep.SpanID().String())
-			}
-		}
-		sweep.Attr("batch_size", strconv.Itoa(len(live)))
+		sweep, copies = openSweepSpans(live)
 	}
 	var before obs.PhaseSnapshot
 	rec := ws.Recorder()
@@ -248,9 +235,12 @@ func (b *batcher) runGroup(ws *tensor.Workspace, group []*pending) {
 	sweepStart := time.Now()
 	outs, err := b.infer(ws, live)
 	if sweep != nil {
-		rtrace.FoldPhases(sweep, sweepStart, rec.Snapshot().Delta(before))
-		sweep.SetError(err)
-		sweep.Finish()
+		phases := rec.Snapshot().Delta(before)
+		for _, sp := range append(copies, sweep) {
+			rtrace.FoldPhases(sp, sweepStart, phases)
+			sp.SetError(err)
+			sp.Finish()
+		}
 	}
 	if err != nil {
 		// A sweep only fails by panicking; dump the flight recorder so
@@ -272,6 +262,54 @@ func (b *batcher) runGroup(ws *tensor.Workspace, group []*pending) {
 			p.done <- outcome{out: outs[i]}
 		}
 	}
+}
+
+// openSweepSpans opens the serve.sweep spans of one batch: the shared
+// sweep span and its per-rider copies. Head sampling keeps or drops
+// each rider's trace on its own, so a sweep recorded under one rider
+// only would be missing from every other kept trace whenever that one
+// rider is dropped. The shared span is therefore a child of the first
+// sampled rider (of the first traced one when none is sampled). Every
+// other sampled rider gets its own serve.sweep copy, which receives the
+// same phase children; every other unsampled rider gets a "sweep" event
+// naming the shared span. sweep is nil when no rider is traced.
+func openSweepSpans(live []*pending) (sweep *rtrace.Span, copies []*rtrace.Span) {
+	var riders []*rtrace.Span
+	primary := -1
+	for _, p := range live {
+		sp := rtrace.FromContext(p.ctx)
+		if sp == nil {
+			continue
+		}
+		if primary < 0 && sp.Sampled() {
+			primary = len(riders)
+		}
+		riders = append(riders, sp)
+	}
+	if len(riders) == 0 {
+		return nil, nil
+	}
+	if primary < 0 {
+		primary = 0
+	}
+	batch := strconv.Itoa(len(live))
+	sweep = riders[primary].Child("serve.sweep")
+	sweep.Attr("batch_size", batch)
+	shared := sweep.SpanID().String()
+	for i, sp := range riders {
+		if i == primary {
+			continue
+		}
+		if !sp.Sampled() {
+			sp.Event("sweep", "span_id", shared)
+			continue
+		}
+		c := sp.Child("serve.sweep")
+		c.Attr("batch_size", batch)
+		c.Attr("shared_span_id", shared)
+		copies = append(copies, c)
+	}
+	return sweep, copies
 }
 
 // traceIDOf renders a span's trace id, "" on nil.

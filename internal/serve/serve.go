@@ -435,12 +435,21 @@ func resultOf(loss model.LossKind, out model.InferOut) Result {
 	return r
 }
 
+// Connection limits of the HTTP listener Serve runs: a client has
+// readHeaderTimeout to finish sending its request headers, and a
+// keep-alive connection idle for idleTimeout is closed, so slow or
+// stalled clients cannot pin connections forever. Tests may lower them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve accepts connections on ln until ctx is done, then drains
 // gracefully: stop accepting, finish in-flight HTTP requests, flush
 // and complete every admitted batch, stop the janitor. In-flight
 // requests are never dropped; the drain is bounded by DrainTimeout.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"etalstm/internal/obs"
 	"etalstm/internal/rng"
 	"etalstm/internal/rtrace"
 	"etalstm/internal/tensor"
@@ -187,5 +188,75 @@ func TestSweepPanicDumpsFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(out, "warmup") {
 		t.Fatalf("dump misses the pre-incident trace:\n%s", out)
+	}
+}
+
+// TestSweepSpanInEverySampledTrace: a batch whose first rider is
+// unsampled must still leave a serve.sweep, with its FW phase
+// children, in the trace of every sampled rider — the shared span under
+// the first sampled one, a copy under each other.
+func TestSweepSpanInEverySampledTrace(t *testing.T) {
+	net := testNet(t)
+	tracer := rtrace.New(rtrace.Options{Process: "replica", SlowThreshold: time.Hour})
+	b := &batcher{net: net, opts: Options{Tracer: tracer}.withDefaults(), m: newMetrics(4)}
+	ws := tensor.NewWorkspace()
+	ws.SetRecorder(obs.NewRecorder())
+
+	sampled := []bool{false, true, true}
+	var roots []*rtrace.Span
+	var group []*pending
+	for i, smp := range sampled {
+		tid, parent := rtrace.NewIDs()
+		root := tracer.StartRemote("serve.request", tid, parent, smp)
+		roots = append(roots, root)
+		group = append(group, &pending{
+			seq:  testSeq(rng.New(uint64(50+i)), 3, net.Cfg.InputSize),
+			ctx:  rtrace.ContextWithSpan(context.Background(), root),
+			done: make(chan outcome, 1),
+		})
+	}
+	b.runGroup(ws, group)
+	for i, p := range group {
+		if o := <-p.done; o.err != nil {
+			t.Fatalf("rider %d: %v", i, o.err)
+		}
+		roots[i].Finish()
+	}
+
+	if spans := tracer.Trace(roots[0].TraceID()); len(spans) != 0 {
+		t.Fatalf("unsampled rider's trace was kept: %v", names(spans))
+	}
+	shared := ""
+	for i := 1; i < len(roots); i++ {
+		spans := tracer.Trace(roots[i].TraceID())
+		var sweep *rtrace.SpanData
+		for j := range spans {
+			if spans[j].Name == "serve.sweep" && spans[j].Parent == roots[i].SpanID() {
+				sweep = &spans[j]
+			}
+		}
+		if sweep == nil {
+			t.Fatalf("sampled rider %d: trace lacks serve.sweep under serve.request (spans: %v)", i, names(spans))
+		}
+		fw := false
+		for j := range spans {
+			fw = fw || (spans[j].Parent == sweep.SpanID && strings.HasPrefix(spans[j].Name, "FW"))
+		}
+		if !fw {
+			t.Fatalf("sampled rider %d: serve.sweep has no FW phase child (spans: %v)", i, names(spans))
+		}
+		if i == 1 {
+			shared = sweep.SpanID.String()
+			continue
+		}
+		link := ""
+		for _, a := range sweep.Attrs {
+			if a.Key == "shared_span_id" {
+				link = a.Value
+			}
+		}
+		if link != shared {
+			t.Fatalf("sampled rider %d: sweep copy links to %q, want the shared sweep %s", i, link, shared)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"etalstm/internal/rng"
@@ -72,4 +73,60 @@ func BenchmarkMulAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MulAdd(dst, x, y)
 	}
+}
+
+// cellShapes are the (batch, in, out) kernel shapes of one LSTM cell
+// gate: FW's batch×in · in×out, BP's batch×out · (in×out)ᵀ and the
+// in×out weight-gradient accumulation over batch rows.
+var cellShapes = [][3]int{{4, 256, 256}, {4, 64, 256}, {4, 32, 32}}
+
+// benchCellShapes runs fn serially at every cell shape, reporting
+// GFLOP/s (2 flops per multiply-add).
+func benchCellShapes(b *testing.B, fn func(batch, in, out int) func()) {
+	for _, s := range cellShapes {
+		batch, in, out := s[0], s[1], s[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", batch, in, out), func(b *testing.B) {
+			prev := SetWorkers(1)
+			defer SetWorkers(prev)
+			run := fn(batch, in, out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			flops := 2 * float64(batch*in*out) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+func randMatrix(seed uint64, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	m.RandInit(rng.New(seed), 1)
+	return m
+}
+
+// BenchmarkCellMatMul is the FW-MatMul shape: x (batch×in) · W (in×out).
+func BenchmarkCellMatMul(b *testing.B) {
+	benchCellShapes(b, func(batch, in, out int) func() {
+		x, w, dst := randMatrix(1, batch, in), randMatrix(2, in, out), New(batch, out)
+		return func() { MatMul(dst, x, w) }
+	})
+}
+
+// BenchmarkCellMatMulTransB is the propagated-gradient shape: δgate
+// (batch×out) · W (in×out)ᵀ.
+func BenchmarkCellMatMulTransB(b *testing.B) {
+	benchCellShapes(b, func(batch, in, out int) func() {
+		dg, w, dst := randMatrix(1, batch, out), randMatrix(2, in, out), New(batch, in)
+		return func() { MatMulTransB(dst, dg, w) }
+	})
+}
+
+// BenchmarkCellAddMatMulTransA is the weight-gradient shape: δW (in×out)
+// += xᵀ (in×batch) · δgate (batch×out).
+func BenchmarkCellAddMatMulTransA(b *testing.B) {
+	benchCellShapes(b, func(batch, in, out int) func() {
+		x, dg, dst := randMatrix(1, batch, in), randMatrix(2, batch, out), New(in, out)
+		return func() { AddMatMulTransA(dst, x, dg) }
+	})
 }

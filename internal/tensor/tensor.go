@@ -123,7 +123,9 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 			dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	// ikj loop order: streams b rows, keeps dst row hot. Rows of a are
+	// ikj loop order: streams b rows four at a time (axpy4), keeps the
+	// dst row hot, and gives every dst element its terms in ascending k
+	// order — the rounding sequence of the plain ikj loop. Rows of a are
 	// independent, so large products shard across workers. The serial
 	// branch calls the span directly: building the closure only on the
 	// parallel path keeps small products allocation-free.
@@ -140,16 +142,59 @@ func matmulSpan(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+		k := 0
+		for ; k+4 <= a.Cols; k += 4 {
+			axpy4(drow, arow[k], arow[k+1], arow[k+2], arow[k+3],
+				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
 		}
+		for ; k < a.Cols; k++ {
+			axpy(drow, arow[k], b.Row(k))
+		}
+	}
+}
+
+// axpy adds av·x into dst element-wise. A zero av adds nothing, not
+// even the NaN that 0·Inf would make: both MatMul and AddMatMulTransA
+// skip exact-zero coefficients, so pruned or padded activations cost
+// nothing and never poison the result.
+//
+// Every product is rounded before it is added (float32(av*xv)). Go
+// may otherwise fuse the multiply and add into one FMA instruction on
+// arm64 (and amd64 with GOAMD64=v3), which rounds once instead of twice
+// and so changes result bits from one platform to the next.
+func axpy(dst []float32, av float32, x []float32) {
+	if av == 0 {
+		return
+	}
+	x = x[:len(dst)]
+	for j, xv := range x {
+		dst[j] += float32(av * xv)
+	}
+}
+
+// axpy4 adds a0·x0, a1·x1, a2·x2 and a3·x3 into dst, in that order for
+// every element — the same per-element rounding sequence as four axpy
+// calls, but each dst element is loaded and stored once instead of four
+// times. When any coefficient is an exact zero it falls back to the four
+// axpy calls, so the zero skip behaves identically on every input.
+func axpy4(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32) {
+	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+		axpy(dst, a0, x0)
+		axpy(dst, a1, x1)
+		axpy(dst, a2, x2)
+		axpy(dst, a3, x3)
+		return
+	}
+	x0 = x0[:len(dst)]
+	x1 = x1[:len(dst)]
+	x2 = x2[:len(dst)]
+	x3 = x3[:len(dst)]
+	for j, d := range dst {
+		d += float32(a0 * x0[j])
+		d += float32(a1 * x1[j])
+		d += float32(a2 * x2[j])
+		d += float32(a3 * x3[j])
+		dst[j] = d
 	}
 }
 
@@ -195,11 +240,29 @@ func matmulTransBSpan(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		// Four dot products per pass over arow. Each sum still runs k
+		// in ascending order, so every output keeps its rounding
+		// sequence; the pass just shares each arow load four ways.
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Row(j)[:len(arow)]
+			b1 := b.Row(j + 1)[:len(arow)]
+			b2 := b.Row(j + 2)[:len(arow)]
+			b3 := b.Row(j + 3)[:len(arow)]
+			var s0, s1, s2, s3 float32
+			for k, av := range arow {
+				s0 += float32(av * b0[k])
+				s1 += float32(av * b1[k])
+				s2 += float32(av * b2[k])
+				s3 += float32(av * b3[k])
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			brow := b.Row(j)[:len(arow)]
 			var sum float32
 			for k, av := range arow {
-				sum += av * brow[k]
+				sum += float32(av * brow[k])
 			}
 			drow[j] = sum
 		}
@@ -229,18 +292,18 @@ func AddMatMulTransA(dst, a, b *Matrix) {
 }
 
 func addMatMulTransASpan(dst, a, b *Matrix, lo, hi int) {
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+	// i-outer: each dst row is swept once per call, taking its terms in
+	// ascending k (batch row) order, four rows of b at a time.
+	m := a.Cols
+	for i := lo; i < hi; i++ {
+		drow := dst.Row(i)
+		k := 0
+		for ; k+4 <= a.Rows; k += 4 {
+			axpy4(drow, a.Data[k*m+i], a.Data[(k+1)*m+i], a.Data[(k+2)*m+i], a.Data[(k+3)*m+i],
+				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+		}
+		for ; k < a.Rows; k++ {
+			axpy(drow, a.Data[k*m+i], b.Row(k))
 		}
 	}
 }
@@ -313,7 +376,7 @@ func MulAdd(dst, a, b *Matrix) {
 	dst.mustSameShape(a, "MulAdd")
 	a.mustSameShape(b, "MulAdd")
 	for i, av := range a.Data {
-		dst.Data[i] += av * b.Data[i]
+		dst.Data[i] += float32(av * b.Data[i])
 	}
 }
 
@@ -448,7 +511,7 @@ func (m *Matrix) FracBelow(threshold float32) float64 {
 func (m *Matrix) Norm2() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
