@@ -126,11 +126,18 @@ fmt:
 # on amd64 only. The kernels round each product explicitly
 # (float32(a*b)); this target cross-compiles the two kernel packages for
 # arm64 and fails on any fused instruction whose source line is in them.
+# It also scans every hand-written .s file under internal/ and fails on
+# any V-prefixed mnemonic (VEX/EVEX encodings: AVX, FMA3/FMA4 such as
+# VFMADD231PS): the amd64 kernels are SSE2 only, the GOAMD64=v1
+# baseline, so they run unchanged on every amd64 CPU and round exactly
+# as the portable loops do.
 fma-check:
 	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/lstm 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
 	fused=$$(echo "$$out" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' | grep -E 'internal/(tensor|lstm)/[^/]+\.go:' || true); \
 	if [ -n "$$fused" ]; then echo "fma-check: fused multiply-add in kernel code:"; echo "$$fused"; exit 1; fi; \
-	echo "fma-check: no fused multiply-adds in internal/tensor, internal/lstm"
+	vex=$$(find internal -name '*.s' -exec grep -nHE '(^|[;:])[[:space:]]*V[A-Z0-9]+([[:space:]]|$$)' {} + | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true); \
+	if [ -n "$$vex" ]; then echo "fma-check: VEX/AVX/FMA instruction in assembly (SSE2 only):"; echo "$$vex"; exit 1; fi; \
+	echo "fma-check: no fused multiply-adds in internal/tensor, internal/lstm; assembly is SSE2 only"
 
 # check is the pre-commit gate: vet + formatting + FMA check + build + tests.
 check: vet fmt fma-check build test

@@ -78,6 +78,19 @@ func denseBytes(tensors []*tensor.Matrix) int64 {
 // what the TCP codec actually ships.
 func sparseWireBytes(nnz int) int64 { return 4 + 8*int64(nnz) }
 
+// gradBodyCap is the largest FrameGrads/FrameMerged body the codec can
+// produce for g's geometry: the contribution count, the encoding byte,
+// and per tensor a count word plus, at worst, a sparse (value, index)
+// pair for every element — more than the dense encoding's 4 bytes per
+// element. The transport caps every post-handshake frame by it.
+func gradBodyCap(g *model.Gradients) int {
+	n := 4 + 1
+	for _, m := range tensorsOf(g) {
+		n += int(sparseWireBytes(len(m.Data)))
+	}
+	return n
+}
+
 // appendDense appends the dense encoding of tensors to dst.
 func appendDense(dst []byte, tensors []*tensor.Matrix) []byte {
 	dst = append(dst, encDense)

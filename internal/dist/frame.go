@@ -174,15 +174,21 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 
 // ReadFrame reads one frame from r into scratch (grown as needed) and
 // returns the frame plus the possibly-grown scratch for reuse — the
-// streaming counterpart of DecodeFrame with identical validation.
-func ReadFrame(r io.Reader, scratch []byte) (Frame, []byte, error) {
+// streaming counterpart of DecodeFrame with identical validation, and
+// one more: a body longer than maxBody (itself capped at MaxFrameBody)
+// is rejected from the length prefix alone, before anything is
+// allocated or read. Callers pass the largest body the protocol state
+// allows: helloBody during the handshake, the agreed geometry's
+// gradient cap after it.
+func ReadFrame(r io.Reader, scratch []byte, maxBody int) (Frame, []byte, error) {
+	maxBody = min(maxBody, MaxFrameBody)
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, scratch, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n < frameHeader || n > frameHeaderV2+MaxFrameBody {
-		return Frame{}, scratch, fmt.Errorf("dist: frame length %d outside [%d, %d]", n, frameHeader, frameHeaderV2+MaxFrameBody)
+	if n < frameHeader || int64(n) > int64(frameHeaderV2+maxBody) {
+		return Frame{}, scratch, fmt.Errorf("dist: frame length %d outside [%d, %d]", n, frameHeader, frameHeaderV2+maxBody)
 	}
 	need := 4 + int(n)
 	if cap(scratch) < need {
@@ -194,6 +200,9 @@ func ReadFrame(r io.Reader, scratch []byte) (Frame, []byte, error) {
 		return Frame{}, scratch, fmt.Errorf("dist: frame body: %w", err)
 	}
 	f, _, err := DecodeFrame(scratch)
+	if err == nil && len(f.Body) > maxBody {
+		err = fmt.Errorf("dist: frame body %d exceeds cap %d", len(f.Body), maxBody)
+	}
 	return f, scratch, err
 }
 

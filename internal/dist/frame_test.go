@@ -42,7 +42,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	for i, want := range frames {
 		var got Frame
 		var err error
-		got, scratch, err = ReadFrame(r, scratch)
+		got, scratch, err = ReadFrame(r, scratch, MaxFrameBody)
 		if err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
@@ -50,7 +50,7 @@ func TestFrameRoundtrip(t *testing.T) {
 			t.Fatalf("ReadFrame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, _, err := ReadFrame(r, scratch); err != io.EOF {
+	if _, _, err := ReadFrame(r, scratch, MaxFrameBody); err != io.EOF {
 		t.Fatalf("expected EOF at stream end, got %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestReadFrameRejectsHostileLength(t *testing.T) {
 	// A hostile length prefix must be rejected before any allocation of
 	// its claimed size.
 	b := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, _, err := ReadFrame(bytes.NewReader(b), nil); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader(b), nil, MaxFrameBody); err == nil {
 		t.Fatal("hostile length accepted")
 	}
 }

@@ -51,7 +51,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, data[:n])
 		}
 		// And the streaming reader must agree with the in-memory decoder.
-		fr2, _, err := ReadFrame(bytes.NewReader(data), nil)
+		fr2, _, err := ReadFrame(bytes.NewReader(data), nil, MaxFrameBody)
 		if err != nil {
 			t.Fatalf("ReadFrame rejected what DecodeFrame accepted: %v", err)
 		}

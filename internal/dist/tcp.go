@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -34,6 +35,15 @@ import (
 // worker weights never fork even when contributions land late.
 
 const defaultHandshakeTimeout = 10 * time.Second
+
+// Handshake frame caps. A hello body is exactly the 8-byte geometry
+// checksum; a worker awaiting its welcome accepts the 8-byte welcome or
+// a short FrameError diagnostic. Nothing a peer sends before the
+// handshake completes can make the reader allocate more.
+const (
+	helloBody        = 8
+	handshakeBodyMax = 4096
+)
 
 // CoordinatorOptions configures a merge coordinator.
 type CoordinatorOptions struct {
@@ -83,11 +93,12 @@ func (o CoordinatorOptions) handshake() time.Duration {
 // posts an event, and blocks until the collector acks that it has
 // consumed the buffer — so buf never changes under the merge.
 type coordWorker struct {
-	id   int
-	conn net.Conn
-	bw   *bufio.Writer
-	buf  *model.Gradients
-	ack  chan struct{}
+	id      int
+	conn    net.Conn
+	bw      *bufio.Writer
+	buf     *model.Gradients
+	maxBody int // largest frame body the agreed geometry allows
+	ack     chan struct{}
 }
 
 type coordEvent struct {
@@ -218,8 +229,8 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 		}
 		conn.SetDeadline(time.Now().Add(c.opts.handshake()))
 		var f Frame
-		f, scratch, err = ReadFrame(conn, scratch)
-		if err != nil || f.Type != FrameHello || len(f.Body) != 8 {
+		f, scratch, err = ReadFrame(conn, scratch, helloBody)
+		if err != nil || f.Type != FrameHello || len(f.Body) != helloBody {
 			conn.Close()
 			continue // not a worker; keep waiting
 		}
@@ -237,7 +248,7 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 		}
 		workers = append(workers, &coordWorker{
 			id: len(workers), conn: conn, bw: bufio.NewWriter(conn),
-			buf: buf, ack: make(chan struct{}, 1),
+			buf: buf, maxBody: gradBodyCap(buf), ack: make(chan struct{}, 1),
 		})
 	}
 	var wbuf []byte
@@ -263,10 +274,17 @@ func (c *Coordinator) reader(w *coordWorker, events chan<- coordEvent) {
 	var scratch []byte
 	br := bufio.NewReader(w.conn)
 	for {
-		f, s, err := ReadFrame(br, scratch)
+		f, s, err := ReadFrame(br, scratch, w.maxBody)
 		scratch = s
-		if err != nil {
+		if err == io.EOF {
 			events <- coordEvent{id: w.id, gone: true}
+			return
+		}
+		if err != nil {
+			// A malformed, oversized or truncated frame leaves the
+			// stream unframeable: drop the worker and report why.
+			w.conn.Close()
+			events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: %w", w.id, err)}
 			return
 		}
 		switch f.Type {
@@ -572,6 +590,7 @@ type Worker struct {
 
 	step    uint32
 	recv    *model.Gradients
+	maxBody int // largest frame body the agreed geometry allows
 	fb      []*compress.Feedback
 	scratch compress.Sparse
 	body    []byte
@@ -624,7 +643,7 @@ func Dial(addr string, cfg model.Config, opts WorkerOptions) (*Worker, error) {
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	br := bufio.NewReader(conn)
-	f, readBuf, err := ReadFrame(br, nil)
+	f, readBuf, err := ReadFrame(br, nil, handshakeBodyMax)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: awaiting welcome: %w", err)
@@ -650,7 +669,7 @@ func Dial(addr string, cfg model.Config, opts WorkerOptions) (*Worker, error) {
 		return nil, err
 	}
 	return &Worker{
-		conn: conn, br: br, cfg: cfg, opts: opts,
+		conn: conn, br: br, cfg: cfg, opts: opts, maxBody: gradBodyCap(recv),
 		id:    int(binary.BigEndian.Uint32(f.Body[:4])),
 		total: int(binary.BigEndian.Uint32(f.Body[4:])),
 		recv:  recv, readBuf: readBuf,
@@ -735,9 +754,12 @@ func (w *Worker) Reduce(local []*model.Gradients) (*model.Gradients, int, error)
 		return nil, 0, err
 	}
 
-	f, readBuf, err := ReadFrame(w.br, w.readBuf)
+	f, readBuf, err := ReadFrame(w.br, w.readBuf, w.maxBody)
 	w.readBuf = readBuf
 	if err != nil {
+		// The stream cannot be re-framed after a bad frame: close it.
+		w.closed = true
+		w.conn.Close()
 		err = fmt.Errorf("dist: awaiting merged step %d: %w", w.step, err)
 		sp.FinishErr(err)
 		return nil, 0, err

@@ -65,11 +65,11 @@ func TestFrameVersionCompat(t *testing.T) {
 	// The streaming reader agrees on both versions.
 	stream := append(append([]byte(nil), v1...), enc...)
 	r := bytes.NewReader(stream)
-	f1, scratch, err := ReadFrame(r, nil)
+	f1, scratch, err := ReadFrame(r, nil, MaxFrameBody)
 	if err != nil || f1.Ver != 1 || f1.Traced() {
 		t.Fatalf("ReadFrame v1: %+v err=%v", f1, err)
 	}
-	f2, _, err := ReadFrame(r, scratch)
+	f2, _, err := ReadFrame(r, scratch, MaxFrameBody)
 	if err != nil || f2.TraceID != tid || !f2.Sampled() {
 		t.Fatalf("ReadFrame v2: %+v err=%v", f2, err)
 	}

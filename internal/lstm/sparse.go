@@ -197,14 +197,16 @@ func BackwardFromP1Sparse(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 }
 
 // sparseMatmulBackward is matmulBackward with every inner product
-// gathering over the gate's surviving pattern instead of all hidden
+// taken over the gate's surviving pattern instead of all hidden
 // columns. δgate_g is zero wherever its P1 plane was pruned (plane g —
 // the gate and plane orders coincide), so each skipped term is a
 // multiply-add of an exact zero. Per-accumulator accumulation order
 // matches the dense kernel: gates ascend, batch rows ascend, columns
-// ascend. The loops are register-blocked (gatherDots, scatterCols):
-// blocking changes which accumulators share a pass over memory, never
-// the order of any one accumulator's terms.
+// ascend. The propagated gradients combine rows of the transposed
+// weights (tensor.CombineRows) and the weight gradients accumulate
+// 32 or eight rows per column pass (tensor.AccumulateColumns):
+// both change which accumulators share a pass over memory, never the
+// order of any one accumulator's terms.
 func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPrev *tensor.Matrix, sp1 *SparseP1, dGate *[NumGates]*tensor.Matrix, dsPrev *tensor.Matrix, topK int) BPOutput {
 	span := ws.Recorder().Begin(obs.PhaseBPMatMul)
 	batch := dsPrev.Rows
@@ -214,16 +216,23 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 	for g := Gate(0); g < NumGates; g++ {
 		pl := &sp1.planes[g]
 		dg := dGate[g]
-		// δX_t += δgate_g·W_gᵀ ; δH_{t-1} += δgate_g·U_gᵀ. An empty
-		// pattern row contributes exactly zero and is skipped whole.
-		for i := 0; i < batch; i++ {
-			pat := pl.rowIdx(i)
-			if len(pat) == 0 {
-				continue
+		// δX_t += δgate_g·W_gᵀ ; δH_{t-1} += δgate_g·U_gᵀ. Row i of each
+		// product is the δgate-weighted sum of the transposed weights'
+		// rows at the pattern's columns, summed from zero and then added
+		// in, as MatMulTransB's dot products are. An empty pattern row
+		// contributes exactly zero and is skipped whole.
+		if len(pl.idx) > 0 {
+			wt := transposeInto(&sc.wt, p.W[g])
+			ut := transposeInto(&sc.ut, p.U[g])
+			for i := 0; i < batch; i++ {
+				pat := pl.rowIdx(i)
+				if len(pat) == 0 {
+					continue
+				}
+				vals := sc.compact(pat, dg.Row(i))
+				sc.addCombination(dx.Row(i), wt, pat, vals)
+				sc.addCombination(dhPrev.Row(i), ut, pat, vals)
 			}
-			vals := sc.compact(pat, dg.Row(i))
-			gatherDots(dx.Row(i), p.W[g], pat, vals)
-			gatherDots(dhPrev.Row(i), p.U[g], pat, vals)
 		}
 		if grads == nil {
 			continue
@@ -237,8 +246,8 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 		brow := grads.B[g]
 		for kk, cnt := range sc.colN {
 			sum := brow[kk]
-			for _, e := range sc.column(kk, cnt) {
-				sum += e.v
+			for _, v := range sc.column(kk, cnt).v {
+				sum += v
 			}
 			brow[kk] = sum
 		}
@@ -248,86 +257,30 @@ func sparseMatmulBackward(ws *tensor.Workspace, p *Params, grads *Grads, x, hPre
 	return BPOutput{DX: dx, DHPrev: dhPrev, DSPrev: dsPrev}
 }
 
-// gatherDots adds to dst[j] the dot product of vals with row j of w
-// taken at the pattern's columns, for every row j of w. vals[n] is the
-// δgate value at column pat[n]. Four rows of w share each pass over
-// the pattern; every sum still runs n in ascending order.
-func gatherDots(dst []float32, w *tensor.Matrix, pat []int32, vals []float32) {
-	vals = vals[:len(pat)]
-	h := w.Cols
-	j := 0
-	for ; j+4 <= w.Rows; j += 4 {
-		// Four rows of one length h: the bounds check on w0[kk]
-		// covers the other three loads.
-		o := j * h
-		w0 := w.Data[o:][:h:h]
-		w1 := w.Data[o+h:][:h:h]
-		w2 := w.Data[o+2*h:][:h:h]
-		w3 := w.Data[o+3*h:][:h:h]
-		var s0, s1, s2, s3 float32
-		for n, kk := range pat {
-			v := vals[n]
-			s0 += float32(v * w0[kk])
-			s1 += float32(v * w1[kk])
-			s2 += float32(v * w2[kk])
-			s3 += float32(v * w3[kk])
-		}
-		dst[j] += s0
-		dst[j+1] += s1
-		dst[j+2] += s2
-		dst[j+3] += s3
-	}
-	for ; j < w.Rows; j++ {
-		wr := w.Row(j)
-		var sum float32
-		for n, kk := range pat {
-			sum += float32(vals[n] * wr[kk])
-		}
-		dst[j] += sum
-	}
-}
-
 // scatterCols adds aᵀ·δgate into dst (a's width × hidden) from the
 // column lists in sc: element (i, kk) collects a[k][i]·v over column
 // kk's (k, v) entries, k ascending — the order the row-by-row outer
-// product gave it. Eight dst rows are updated per pass over the lists,
-// their accumulators in registers: each accumulator is a dependent
-// chain of adds, and eight chains keep the adder busy where four would
-// wait on add latency. A group of rows whose a column holds an exact
-// zero anywhere falls back to one row per pass, where a zero a[k][i]
-// adds nothing, as in tensor.AddMatMulTransA.
+// product gave it. 32 dst rows, or eight, are updated per pass over
+// the lists (tensor.AccumulateColumns, one vector lane per row). An
+// eight-row group whose a columns hold an exact zero anywhere falls
+// back to one row per pass, where a zero a[k][i] adds nothing, as in
+// tensor.AddMatMulTransA.
 func scatterCols(dst, a *tensor.Matrix, sc *sparseScratch) {
-	ad, m := a.Data, a.Cols
+	m := a.Cols
 	i := 0
-	for ; i+8 <= m; i += 8 {
-		if hasZero(a, i, i+8) {
+	for i+8 <= m {
+		w := 8
+		if i+32 <= m && !hasZero(a, i, i+32) {
+			w = 32
+		} else if hasZero(a, i, i+8) {
 			for q := i; q < i+8; q++ {
 				scatterCol(dst.Row(q), a, q, sc)
 			}
+			i += 8
 			continue
 		}
-		d0, d1, d2, d3 := dst.Row(i), dst.Row(i+1), dst.Row(i+2), dst.Row(i+3)
-		d4, d5, d6, d7 := dst.Row(i+4), dst.Row(i+5), dst.Row(i+6), dst.Row(i+7)
-		for kk, cnt := range sc.colN {
-			if cnt == 0 {
-				continue
-			}
-			s0, s1, s2, s3 := d0[kk], d1[kk], d2[kk], d3[kk]
-			s4, s5, s6, s7 := d4[kk], d5[kk], d6[kk], d7[kk]
-			for _, e := range sc.column(kk, cnt) {
-				ar := ad[int(e.k)*m+i:][:8:8]
-				s0 += float32(ar[0] * e.v)
-				s1 += float32(ar[1] * e.v)
-				s2 += float32(ar[2] * e.v)
-				s3 += float32(ar[3] * e.v)
-				s4 += float32(ar[4] * e.v)
-				s5 += float32(ar[5] * e.v)
-				s6 += float32(ar[6] * e.v)
-				s7 += float32(ar[7] * e.v)
-			}
-			d0[kk], d1[kk], d2[kk], d3[kk] = s0, s1, s2, s3
-			d4[kk], d5[kk], d6[kk], d7[kk] = s4, s5, s6, s7
-		}
+		tensor.AccumulateColumns(dst, i, w, a, sc.colN, sc.colK, sc.colV, sc.batch)
+		i += w
 	}
 	for ; i < m; i++ {
 		scatterCol(dst.Row(i), a, i, sc)
@@ -345,10 +298,11 @@ func scatterCol(drow []float32, a *tensor.Matrix, i int, sc *sparseScratch) {
 		if cnt == 0 {
 			continue
 		}
+		c := sc.column(kk, cnt)
 		sum := drow[kk]
-		for _, e := range sc.column(kk, cnt) {
-			if av := a.Data[int(e.k)*m+i]; av != 0 {
-				sum += float32(av * e.v)
+		for n, k := range c.k {
+			if av := a.Data[int(k)*m+i]; av != 0 {
+				sum += float32(av * c.v[n])
 			}
 		}
 		drow[kk] = sum
@@ -378,23 +332,28 @@ func hasZero(a *tensor.Matrix, lo, hi int) bool {
 }
 
 // sparseScratch is the reusable scratch of the sparse BP-MatMul: the
-// top-k selector, one row's δgate values compacted to its pattern, and
-// the weight-gradient column lists. Column kk's entries sit at
-// cols[kk·batch : kk·batch+colN[kk]], batch rows ascending. It is recycled through the workspace, so a warm cell
-// runs the sparse kernels without allocating.
+// top-k selector, one row's δgate values compacted to its pattern, the
+// transposed weights and one combination row of the propagated-gradient
+// gather, and the weight-gradient column lists. Column kk's entries sit
+// at colK/colV[kk·batch : kk·batch+colN[kk]], batch rows ascending. It
+// is recycled through the workspace, so a warm cell runs the sparse
+// kernels without allocating.
 type sparseScratch struct {
-	sel   TopKSelector
-	vals  []float32
-	batch int
-	colN  []int32
-	cols  []colEntry
+	sel    TopKSelector
+	vals   []float32
+	wt, ut tensor.Matrix
+	row    []float32
+	batch  int
+	colN   []int32
+	colK   []int32   // batch row of each entry
+	colV   []float32 // δgate value of each entry
 }
 
-// colEntry is one weight-gradient column list entry: batch row k and
-// the δgate value at (k, column).
-type colEntry struct {
-	k int32
-	v float32
+// colList is one weight-gradient column list: batch rows k ascending
+// and the δgate values at (k, column).
+type colList struct {
+	k []int32
+	v []float32
 }
 
 // getSparseScratch pops the recycled scratch or allocates one.
@@ -418,6 +377,23 @@ func (sc *sparseScratch) compact(pat []int32, row []float32) []float32 {
 	return sc.vals
 }
 
+// transposeInto writes wᵀ into dst, reusing its storage, and returns it.
+func transposeInto(dst, w *tensor.Matrix) *tensor.Matrix {
+	*dst = tensor.Matrix{Rows: w.Cols, Cols: w.Rows, Data: resize(dst.Data, w.Rows*w.Cols)}
+	return tensor.Transpose(dst, w)
+}
+
+// addCombination adds Σₙ vals[n]·wt.Row(pat[n]) to drow, the sum formed
+// from zero in the scratch row first.
+func (sc *sparseScratch) addCombination(drow []float32, wt *tensor.Matrix, pat []int32, vals []float32) {
+	sc.row = resize(sc.row, wt.Cols)
+	tensor.CombineRows(sc.row, wt, pat, vals)
+	drow = drow[:len(sc.row)]
+	for j, v := range sc.row {
+		drow[j] += v
+	}
+}
+
 // transpose rebuilds the column lists from plane pl's row patterns
 // (each cut to its topK largest-|δgate| columns when topK > 0) and the
 // δgate values dg holds there. Rows are visited in ascending order, so
@@ -427,7 +403,8 @@ func (sc *sparseScratch) transpose(pl *pairPlane, dg *tensor.Matrix, topK int) {
 	sc.batch = batch
 	sc.colN = resize(sc.colN, hidden)
 	clear(sc.colN)
-	sc.cols = resize(sc.cols, hidden*batch)
+	sc.colK = resize(sc.colK, hidden*batch)
+	sc.colV = resize(sc.colV, hidden*batch)
 	for k := 0; k < batch; k++ {
 		pat := pl.rowIdx(k)
 		if len(pat) == 0 {
@@ -438,16 +415,17 @@ func (sc *sparseScratch) transpose(pl *pairPlane, dg *tensor.Matrix, topK int) {
 			pat = sc.sel.Filter(pat, dgrow, topK)
 		}
 		for _, kk := range pat {
-			sc.cols[int(kk)*batch+int(sc.colN[kk])] = colEntry{int32(k), dgrow[kk]}
+			e := int(kk)*batch + int(sc.colN[kk])
+			sc.colK[e], sc.colV[e] = int32(k), dgrow[kk]
 			sc.colN[kk]++
 		}
 	}
 }
 
 // column returns column kk's list, whose length is cnt = colN[kk].
-func (sc *sparseScratch) column(kk int, cnt int32) []colEntry {
+func (sc *sparseScratch) column(kk int, cnt int32) colList {
 	off := kk * sc.batch
-	return sc.cols[off : off+int(cnt)]
+	return colList{sc.colK[off : off+int(cnt)], sc.colV[off : off+int(cnt)]}
 }
 
 // resize returns s with length n, reusing its backing array when it is

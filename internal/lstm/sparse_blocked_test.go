@@ -91,7 +91,7 @@ func requireSameBits(t *testing.T, label string, got, want []float32) {
 }
 
 // TestSparseBackwardBlockedShapes drives the blocked sparse kernels
-// through every remainder of their 4- and 8-wide blocks, with empty
+// through every remainder of their 4-, 8- and 32-wide blocks, with empty
 // pattern rows, exact-zero activations (single entries and whole
 // columns, which send a row block down the per-row fallback) and top-k
 // at 1, hidden/2 and hidden. Propagated gradients must match the dense
@@ -101,7 +101,8 @@ func requireSameBits(t *testing.T, label string, got, want []float32) {
 func TestSparseBackwardBlockedShapes(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		prev := tensor.SetWorkers(workers)
-		for _, d := range [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 6, 3}, {9, 11, 5}, {13, 7, 6}, {16, 12, 4}, {19, 10, 7}, {26, 13, 9}} {
+		for _, d := range [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 6, 3}, {9, 11, 5}, {13, 7, 6}, {16, 12, 4}, {19, 10, 7}, {26, 13, 9},
+			{16, 24, 32}, {20, 44, 32}, {40, 17, 32}} {
 			input, hidden, batch := d[0], d[1], d[2]
 			for _, topK := range []int{1, hidden / 2, hidden} {
 				name := fmt.Sprintf("w%d/in%d_h%d_b%d/topk%d", workers, input, hidden, batch, topK)

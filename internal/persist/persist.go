@@ -32,6 +32,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"etalstm/internal/lstm"
@@ -290,23 +291,58 @@ func readFloats(r io.Reader, fs []float32) error {
 	return nil
 }
 
-// SaveFile writes net to path atomically (temp file + rename).
+// SaveFile writes net to path atomically and durably: the checkpoint
+// goes to path+".tmp", which is synced before it is renamed over path,
+// and the directory is synced after the rename. A crash at any point
+// leaves either the previous checkpoint or the new one at path, never
+// a torn file; a stale ".tmp" a crashed writer leaves behind is
+// ignored by LoadFile and replaced by the next save.
 func SaveFile(path string, net *model.Network) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return Save(w, net) })
+}
+
+// writeFileAtomic is SaveFile's write protocol around an arbitrary
+// writer function: write the temp file, sync, close, rename, sync the
+// directory. On a failure before the rename the temp file is removed
+// and path is untouched.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := Save(f, net); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("persist: writing %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a rename in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("persist: syncing directory %s: %w", dir, err)
+	}
+	return nil
 }
 
 // LoadFile reads a network from path.

@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -351,5 +353,71 @@ func TestCorruptedDigestDetected(t *testing.T) {
 	crcOf(&out2, p2)
 	if _, err := Load(&out2); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("expected digest-mismatch error for mutated payload, got %v", err)
+	}
+}
+
+// errTornWrite stands in for a writer that dies partway through a save.
+var errTornWrite = errors.New("torn write")
+
+// TestSaveFileCrashKeepsPreviousCheckpoint: a save that fails halfway
+// through, and a stale torn ".tmp" a crashed writer left behind, leave
+// the previous checkpoint loadable with its digest; the next save
+// replaces the stale temp file.
+func TestSaveFileCrashKeepsPreviousCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.etalstm")
+	prev := testNet(t)
+	if err := SaveFile(path, prev); err != nil {
+		t.Fatal(err)
+	}
+	_, wantDigest, err := LoadFileDigest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	next := testNet(t)
+	next.Layer[0].W[0].Data[0] += 1
+	var full bytes.Buffer
+	if err := Save(&full, next); err != nil {
+		t.Fatal(err)
+	}
+	half := full.Bytes()[:full.Len()/2]
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(half); err != nil {
+			return err
+		}
+		return errTornWrite
+	})
+	if !errors.Is(err, errTornWrite) {
+		t.Fatalf("failed save returned %v, want the writer's error", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("failed save left its temp file behind")
+	}
+
+	// A writer killed mid-save leaves its torn temp file in place.
+	if err := os.WriteFile(path+".tmp", half, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, digest, err := LoadFileDigest(path)
+	if err != nil {
+		t.Fatalf("previous checkpoint unreadable after a torn save: %v", err)
+	}
+	if digest != wantDigest || got.Layer[0].W[0].Data[0] != prev.Layer[0].W[0].Data[0] {
+		t.Fatalf("loaded digest %s, want the previous checkpoint's %s", digest, wantDigest)
+	}
+
+	if err := SaveFile(path, next); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("stale temp file survived a successful save")
+	}
+	_, digest, err = LoadFileDigest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantNext, _ := Digest(next); digest != wantNext {
+		t.Fatalf("after the retry the checkpoint digest is %s, want %s", digest, wantNext)
 	}
 }

@@ -130,3 +130,13 @@ func BenchmarkCellAddMatMulTransA(b *testing.B) {
 		return func() { AddMatMulTransA(dst, x, dg) }
 	})
 }
+
+// BenchmarkTranspose is the sparse backward cell's per-gate weight
+// transpose at a recurrent-weight shape.
+func BenchmarkTranspose(b *testing.B) {
+	a, dst := randMatrix(1, 160, 96), New(96, 160)
+	b.SetBytes(int64(8 * len(a.Data)))
+	for i := 0; i < b.N; i++ {
+		Transpose(dst, a)
+	}
+}

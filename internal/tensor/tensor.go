@@ -123,9 +123,9 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 			dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	dst.Zero()
-	// ikj loop order: streams b rows four at a time (axpy4), keeps the
-	// dst row hot, and gives every dst element its terms in ascending k
-	// order — the rounding sequence of the plain ikj loop. Rows of a are
+	// ikj loop order: each dst row takes the b rows of its non-zero a
+	// coefficients, k ascending (addRows), so every dst element gets its
+	// terms in the rounding sequence of the plain ikj loop. Rows of a are
 	// independent, so large products shard across workers. The serial
 	// branch calls the span directly: building the closure only on the
 	// parallel path keeps small products allocation-free.
@@ -138,63 +138,104 @@ func MatMul(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
+// rowChunk is how many coefficients one addRows call takes: a row of
+// a is compacted in chunks of this many k values into stack arrays.
+const rowChunk = 128
+
 func matmulSpan(dst, a, b *Matrix, lo, hi int) {
+	var rows [rowChunk]int32
+	var coef [rowChunk]float32
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		k := 0
-		for ; k+4 <= a.Cols; k += 4 {
-			axpy4(drow, arow[k], arow[k+1], arow[k+2], arow[k+3],
-				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
-		}
-		for ; k < a.Cols; k++ {
-			axpy(drow, arow[k], b.Row(k))
+		arow, drow := a.Row(i), dst.Row(i)
+		for k0 := 0; k0 < len(arow); k0 += rowChunk {
+			n := 0
+			for k, v := range arow[k0:min(k0+rowChunk, len(arow))] {
+				if v != 0 {
+					rows[n], coef[n] = int32(k0+k), v
+					n++
+				}
+			}
+			addRows(drow, b, rows[:n], coef[:n])
 		}
 	}
 }
 
-// axpy adds av·x into dst element-wise. A zero av adds nothing, not
-// even the NaN that 0·Inf would make: both MatMul and AddMatMulTransA
-// skip exact-zero coefficients, so pruned or padded activations cost
-// nothing and never poison the result.
+// addRows adds Σₙ coef[n]·m.Row(rows[n]) into dst, n ascending, with no
+// zero skip: every dst element takes its terms one at a time in list
+// order, each product rounded before it is added. The kernel covers
+// the whole quads of dst, four rows per pass; the last len(dst) mod 4
+// elements run here.
 //
-// Every product is rounded before it is added (float32(av*xv)). Go
-// may otherwise fuse the multiply and add into one FMA instruction on
+// The exact-zero skip of MatMul and AddMatMulTransA is the callers'
+// compaction: a zero coefficient never enters the list, so it adds
+// nothing, not even the NaN that 0·Inf would make, and pruned or
+// padded activations cost nothing.
+//
+// Every product is rounded before it is added (float32(a*b)). Go may
+// otherwise fuse the multiply and add into one FMA instruction on
 // arm64 (and amd64 with GOAMD64=v3), which rounds once instead of twice
 // and so changes result bits from one platform to the next.
-func axpy(dst []float32, av float32, x []float32) {
-	if av == 0 {
+func addRows(dst []float32, m *Matrix, rows []int32, coef []float32) {
+	if len(dst) != m.Cols {
+		panic(fmt.Sprintf("tensor: addRows dst length %d != cols %d", len(dst), m.Cols))
+	}
+	coef = coef[:len(rows)]
+	if len(rows) == 0 {
 		return
 	}
-	x = x[:len(dst)]
-	for j, xv := range x {
-		dst[j] += float32(av * xv)
+	ld := m.Cols
+	n4 := len(dst) &^ 3
+	if !addRowsKernel(dst[:n4], m.Data, ld, rows, coef) {
+		panic("tensor: addRows row index out of range")
+	}
+	for j := n4; j < len(dst); j++ {
+		s := dst[j]
+		for n, r := range rows {
+			s += float32(coef[n] * m.Data[int(r)*ld+j])
+		}
+		dst[j] = s
 	}
 }
 
-// axpy4 adds a0·x0, a1·x1, a2·x2 and a3·x3 into dst, in that order for
-// every element — the same per-element rounding sequence as four axpy
-// calls, but each dst element is loaded and stored once instead of four
-// times. When any coefficient is an exact zero it falls back to the four
-// axpy calls, so the zero skip behaves identically on every input.
-func axpy4(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32) {
-	if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-		axpy(dst, a0, x0)
-		axpy(dst, a1, x1)
-		axpy(dst, a2, x2)
-		axpy(dst, a3, x3)
+// CombineRows sets dst to Σₙ coef[n]·m.Row(rows[n]), n ascending: every
+// dst element starts from +0 and takes its terms in that order. No
+// coefficient is skipped, so each element equals the plain dot product
+// of coef with column j of m at the listed rows. The sparse backward
+// cell uses it to gather a gate's propagated gradient over a
+// transposed weight matrix.
+func CombineRows(dst []float32, m *Matrix, rows []int32, coef []float32) {
+	clear(dst)
+	addRows(dst, m, rows, coef)
+}
+
+// AccumulateColumns adds aᵀ·G to rows i..i+w−1 of dst, w being 8 or
+// 32, where G is given by column lists: column kk of G holds colN[kk]
+// entries at positions kk·stride onwards of colK (row indices of a)
+// and colV (values). Element (i+q, kk) of dst is loaded once, takes
+// a[colK[e]][i+q]·colV[e] for its column's entries e in list order,
+// with no coefficient skipped, and is stored once; one vector lane
+// holds one row. The sparse backward cell uses it for the
+// weight-gradient scatter, where G is the pruned δgate.
+func AccumulateColumns(dst *Matrix, i, w int, a *Matrix, colN, colK []int32, colV []float32, stride int) {
+	if w != 8 && w != 32 {
+		panic(fmt.Sprintf("tensor: AccumulateColumns width %d, want 8 or 32", w))
+	}
+	if i < 0 || i+w > dst.Rows || i+w > a.Cols || len(colN) != dst.Cols || stride < 0 {
+		panic(fmt.Sprintf("tensor: AccumulateColumns rows %d..%d, %d columns, stride %d do not fit dst %dx%d, a %dx%d",
+			i, i+w, len(colN), stride, dst.Rows, dst.Cols, a.Rows, a.Cols))
+	}
+	if len(colN) == 0 {
 		return
 	}
-	x0 = x0[:len(dst)]
-	x1 = x1[:len(dst)]
-	x2 = x2[:len(dst)]
-	x3 = x3[:len(dst)]
-	for j, d := range dst {
-		d += float32(a0 * x0[j])
-		d += float32(a1 * x1[j])
-		d += float32(a2 * x2[j])
-		d += float32(a3 * x3[j])
-		dst[j] = d
+	ld := dst.Cols
+	d := dst.Data[i*ld : (i+w-1)*ld+ld]
+	n := len(colN) * stride
+	kernel := columns8Kernel
+	if w == 32 {
+		kernel = columns32Kernel
+	}
+	if !kernel(d, ld, a.Data[i:], a.Cols, colN, colK[:n], colV[:n], stride) {
+		panic("tensor: AccumulateColumns column count or row index out of range")
 	}
 }
 
@@ -236,37 +277,69 @@ func MatMulTransB(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
+// transBChunk is the k extent of one packed chunk of four a rows:
+// 4 KiB of stack, small enough to share L1 with the b rows it meets.
+const transBChunk = 256
+
+// matmulTransBSpan computes rows lo..hi of dst four at a time: the four
+// a rows are packed k-major into a chunk, so the kernel's lane r is row
+// r's dot product, k ascending. Partial sums carry through dst from one
+// chunk to the next, which leaves every sum's rounding sequence that of
+// the plain dot product starting from +0. The k and column remainders
+// of each block, and the rows left over, run here in Go.
 func matmulTransBSpan(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		// Four dot products per pass over arow. Each sum still runs k
-		// in ascending order, so every output keeps its rounding
-		// sequence; the pass just shares each arow load four ways.
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0 := b.Row(j)[:len(arow)]
-			b1 := b.Row(j + 1)[:len(arow)]
-			b2 := b.Row(j + 2)[:len(arow)]
-			b3 := b.Row(j + 3)[:len(arow)]
-			var s0, s1, s2, s3 float32
-			for k, av := range arow {
-				s0 += float32(av * b0[k])
-				s1 += float32(av * b1[k])
-				s2 += float32(av * b2[k])
-				s3 += float32(av * b3[k])
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+	kdim, n, ld := a.Cols, b.Rows, dst.Cols
+	k4, n4 := kdim&^3, n&^3
+	var chunk [4 * transBChunk]float32
+	i := lo
+	for ; i+4 <= hi && n4 > 0; i += 4 {
+		blk := dst.Data[i*ld : (i+3)*ld+n4]
+		for r := 0; r < 4; r++ {
+			clear(blk[r*ld : r*ld+n4])
 		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			var sum float32
-			for k, av := range arow {
-				sum += float32(av * brow[k])
+		for k0 := 0; k0 < k4; k0 += transBChunk {
+			kn := min(transBChunk, k4-k0)
+			c := chunk[:4*kn]
+			for r := 0; r < 4; r++ {
+				for k, v := range a.Row(i + r)[k0 : k0+kn] {
+					c[4*k+r] = v
+				}
 			}
-			drow[j] = sum
+			transB4Kernel(blk, ld, c, b.Data[k0:(n4-1)*b.Cols+k0+kn], b.Cols)
+		}
+		for r := 0; r < 4; r++ {
+			arow, drow := a.Row(i+r), dst.Row(i+r)
+			if k4 < kdim {
+				for j := 0; j < n4; j++ {
+					brow := b.Row(j)[:kdim]
+					s := drow[j]
+					for k := k4; k < kdim; k++ {
+						s += float32(arow[k] * brow[k])
+					}
+					drow[j] = s
+				}
+			}
+			for j := n4; j < n; j++ {
+				drow[j] = dot(arow, b.Row(j))
+			}
 		}
 	}
+	for ; i < hi; i++ {
+		arow, drow := a.Row(i), dst.Row(i)
+		for j := range drow {
+			drow[j] = dot(arow, b.Row(j))
+		}
+	}
+}
+
+// dot returns Σₖ x[k]·y[k], k ascending from +0.
+func dot(x, y []float32) float32 {
+	y = y[:len(x)]
+	var sum float32
+	for k, xv := range x {
+		sum += float32(xv * y[k])
+	}
+	return sum
 }
 
 // AddMatMulTransA computes dst += aᵀ · b. This is the outer-product
@@ -292,32 +365,62 @@ func AddMatMulTransA(dst, a, b *Matrix) {
 }
 
 func addMatMulTransASpan(dst, a, b *Matrix, lo, hi int) {
-	// i-outer: each dst row is swept once per call, taking its terms in
-	// ascending k (batch row) order, four rows of b at a time.
+	// i-outer: each dst row is swept once per call, taking the b rows of
+	// its column of a's non-zero values, k (batch row) ascending.
+	var rows [rowChunk]int32
+	var coef [rowChunk]float32
 	m := a.Cols
 	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
-		k := 0
-		for ; k+4 <= a.Rows; k += 4 {
-			axpy4(drow, a.Data[k*m+i], a.Data[(k+1)*m+i], a.Data[(k+2)*m+i], a.Data[(k+3)*m+i],
-				b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
-		}
-		for ; k < a.Rows; k++ {
-			axpy(drow, a.Data[k*m+i], b.Row(k))
+		for k0 := 0; k0 < a.Rows; k0 += rowChunk {
+			n := 0
+			for k := k0; k < min(k0+rowChunk, a.Rows); k++ {
+				if v := a.Data[k*m+i]; v != 0 {
+					rows[n], coef[n] = int32(k), v
+					n++
+				}
+			}
+			addRows(drow, b, rows[:n], coef[:n])
 		}
 	}
 }
 
-// Transpose returns aᵀ as a new matrix (or into dst when non-nil).
+// transposeBlock is the tile edge of Transpose: the tile's a rows and
+// dst rows both stay in L1 while it is copied.
+const transposeBlock = 64
+
+// Transpose returns aᵀ as a new matrix (or into dst when non-nil). It
+// copies 32×32 tiles, four a rows at a time (transpose4Kernel), so
+// that each dst row takes four adjacent values per visit; the row and
+// column remainders run here.
 func Transpose(dst, a *Matrix) *Matrix {
 	if dst == nil {
 		dst = New(a.Cols, a.Rows)
 	} else if dst.Rows != a.Cols || dst.Cols != a.Rows {
 		panic("tensor: Transpose dst shape")
 	}
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			dst.Set(j, i, a.At(i, j))
+	m, n := a.Rows, a.Cols
+	for i0 := 0; i0 < m; i0 += transposeBlock {
+		i1 := min(i0+transposeBlock, m)
+		for j0 := 0; j0 < n; j0 += transposeBlock {
+			j1 := min(j0+transposeBlock, n)
+			j4 := j0 + (j1-j0)&^3
+			i := i0
+			for ; i+4 <= i1; i += 4 {
+				if j4 > j0 {
+					transpose4Kernel(dst.Data[j0*m+i:(j4-1)*m+i+4], m, a.Data[i*n+j0:(i+3)*n+j4], n)
+				}
+				for j := j4; j < j1; j++ {
+					for r := i; r < i+4; r++ {
+						dst.Data[j*m+r] = a.Data[r*n+j]
+					}
+				}
+			}
+			for ; i < i1; i++ {
+				for j, v := range a.Data[i*n+j0 : i*n+j1] {
+					dst.Data[(j0+j)*m+i] = v
+				}
+			}
 		}
 	}
 	return dst
