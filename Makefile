@@ -3,7 +3,7 @@ GO ?= go
 # Budget per fuzz target for `make fuzz` (go test -fuzztime syntax).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench vet fmt fma-check check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
+.PHONY: build test race bench vet be-vet fmt fma-check check fuzz cover serve-smoke obs-smoke longseq-smoke dist-smoke fleet-smoke trace-smoke all
 
 all: build test
 
@@ -119,25 +119,38 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# fma-check keeps the kernels free of fused multiply-adds. Go may fuse
-# `s += a*b` into one FMA instruction on arm64 (and amd64 with
+# fma-check keeps the numeric code free of fused multiply-adds. Go may
+# fuse `s += a*b` into one FMA instruction on arm64 (and amd64 with
 # GOAMD64=v3); an FMA rounds once where the source rounds twice, so
 # results would differ by platform and the bitwise contracts would hold
-# on amd64 only. The kernels round each product explicitly
-# (float32(a*b)); this target cross-compiles the two kernel packages for
-# arm64 and fails on any fused instruction whose source line is in them.
+# on amd64 only. The code rounds each product explicitly (float32(a*b),
+# float64(a*b)); this target cross-compiles the kernels (tensor, lstm),
+# the optimizers (train), the loss (model), the gradient compression
+# (compress) and the gradient sync (dist) for arm64 and fails on any
+# fused instruction whose source line is in them.
 # It also scans every hand-written .s file under internal/ and fails on
 # any V-prefixed mnemonic (VEX/EVEX encodings: AVX, FMA3/FMA4 such as
 # VFMADD231PS): the amd64 kernels are SSE2 only, the GOAMD64=v1
 # baseline, so they run unchanged on every amd64 CPU and round exactly
 # as the portable loops do.
+FMA_PKGS := tensor lstm train model compress dist
+space := $(subst ,, )
+comma := ,
+
 fma-check:
-	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/lstm 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
-	fused=$$(echo "$$out" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' | grep -E 'internal/(tensor|lstm)/[^/]+\.go:' || true); \
-	if [ -n "$$fused" ]; then echo "fma-check: fused multiply-add in kernel code:"; echo "$$fused"; exit 1; fi; \
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS:%=./internal/%) 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
+	fused=$$(echo "$$out" | grep -E '\bF(N)?M(ADD|SUB)[SD]\b' | grep -E 'internal/($(subst $(space),|,$(FMA_PKGS)))/[^/]+\.go:' || true); \
+	if [ -n "$$fused" ]; then echo "fma-check: fused multiply-add in numeric code:"; echo "$$fused"; exit 1; fi; \
 	vex=$$(find internal -name '*.s' -exec grep -nHE '(^|[;:])[[:space:]]*V[A-Z0-9]+([[:space:]]|$$)' {} + | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true); \
 	if [ -n "$$vex" ]; then echo "fma-check: VEX/AVX/FMA instruction in assembly (SSE2 only):"; echo "$$vex"; exit 1; fi; \
-	echo "fma-check: no fused multiply-adds in internal/tensor, internal/lstm; assembly is SSE2 only"
+	echo "fma-check: no fused multiply-adds in internal/{$(subst $(space),$(comma),$(FMA_PKGS))}; assembly is SSE2 only"
 
-# check is the pre-commit gate: vet + formatting + FMA check + build + tests.
-check: vet fmt fma-check build test
+# be-vet vets the packages that read and write little-endian float
+# streams for a big-endian target (s390x), so the byte-swapping path of
+# tensor.WriteLE/ReadLE keeps compiling where it is the one that runs.
+be-vet:
+	GOARCH=s390x $(GO) vet ./internal/tensor ./internal/dist ./internal/persist
+
+# check is the pre-commit gate: vet (native and big-endian) + formatting
+# + FMA check + build + tests.
+check: vet be-vet fmt fma-check build test

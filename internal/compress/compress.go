@@ -239,7 +239,7 @@ func PruneError(orig *tensor.Matrix, s *Sparse) (maxErr float64, rmse float64) {
 		if d > maxErr {
 			maxErr = d
 		}
-		sq += d * d
+		sq += float64(d * d) // rounded: no FMA
 	}
 	if n := len(orig.Data); n > 0 {
 		rmse = math.Sqrt(sq / float64(n))

@@ -47,7 +47,7 @@ func TopKThreshold(data []float32, keepFrac float64, scratch []float32) (float32
 	if n == 0 {
 		return math.SmallestNonzeroFloat32, scratch
 	}
-	k := int(keepFrac*float64(n) + 0.5)
+	k := int(float64(keepFrac*float64(n)) + 0.5) // rounded: no FMA
 	if k < 1 {
 		k = 1
 	}

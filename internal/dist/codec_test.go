@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -47,6 +49,27 @@ func gradientsEqual(a, b *model.Gradients) bool {
 	return true
 }
 
+// denseFrame encodes g as a dense FrameGrads frame with writeDense.
+func denseFrame(t *testing.T, g *model.Gradients, contribs int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := writeDense(&buf, nil, Frame{Type: FrameGrads, Step: 5}, contribs, tensorsOf(g)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// densePayload is the gradient payload (after the contribution count)
+// of writeDense's encoding of g.
+func densePayload(t *testing.T, g *model.Gradients) []byte {
+	t.Helper()
+	f, _, err := DecodeFrame(denseFrame(t, g, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Body[4:]
+}
+
 func TestDenseCodecRoundtripBitwise(t *testing.T) {
 	cfg := testCfg()
 	src, err := model.NewGradientsFor(cfg)
@@ -54,10 +77,19 @@ func TestDenseCodecRoundtripBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillGradients(src, 7)
-	body := appendDense(nil, tensorsOf(src))
+	frame := denseFrame(t, src, 3)
+	f, n, err := DecodeFrame(frame)
+	if err != nil || n != len(frame) {
+		t.Fatalf("writeDense frame: consumed %d of %d bytes, %v", n, len(frame), err)
+	}
+	body := f.Body[4:]
 	if got, want := int64(len(body)-1), denseBytes(tensorsOf(src)); got != want {
 		t.Fatalf("dense payload %d bytes, accounting says %d", got, want)
 	}
+	if len(f.Body) != denseBody(tensorsOf(src)) {
+		t.Fatalf("dense body %d bytes, denseBody says %d", len(f.Body), denseBody(tensorsOf(src)))
+	}
+	// The buffered decoder and the streaming reader both restore src.
 	dst, err := model.NewGradientsFor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +100,50 @@ func TestDenseCodecRoundtripBitwise(t *testing.T) {
 	}
 	if !gradientsEqual(src, dst) {
 		t.Fatal("dense roundtrip not bitwise")
+	}
+	fillGradients(dst, 99)
+	rx := newGradReader(bytes.NewReader(frame), FrameGrads, dst)
+	got, contribs, size, err := rx.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Step != 5 || contribs != 3 || size != len(f.Body) {
+		t.Fatalf("streamed frame: step %d contribs %d size %d", got.Step, contribs, size)
+	}
+	if rx.scratch != nil {
+		t.Fatal("dense frame took the buffered path")
+	}
+	if !gradientsEqual(src, dst) {
+		t.Fatal("streamed dense roundtrip not bitwise")
+	}
+}
+
+// TestDenseWireLayoutUnchanged: writeDense's frame is byte for byte
+// the frame an element-by-element encoder builds — header, big-endian
+// contribution count and count words, little-endian float bits — for
+// both frame versions.
+func TestDenseWireLayoutUnchanged(t *testing.T) {
+	src, _ := model.NewGradientsFor(testCfg())
+	fillGradients(src, 17)
+	for _, ver := range []byte{1, 2} {
+		body := binary.BigEndian.AppendUint32(nil, 6)
+		body = append(body, encDense)
+		for _, m := range tensorsOf(src) {
+			body = binary.BigEndian.AppendUint32(body, uint32(len(m.Data)))
+			for _, v := range m.Data {
+				body = binary.LittleEndian.AppendUint32(body, math.Float32bits(v))
+			}
+		}
+		f := Frame{Ver: ver, Type: FrameMerged, Step: 9, Flags: FlagSampled}
+		f.TraceID[0], f.SpanID[7] = 0xab, 0xcd
+		var got bytes.Buffer
+		if _, err := writeDense(&got, nil, f, 6, tensorsOf(src)); err != nil {
+			t.Fatal(err)
+		}
+		f.Body = body
+		if want := AppendFrame(nil, f); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("v%d: writeDense frame differs from the reference encoding", ver)
+		}
 	}
 }
 
@@ -150,7 +226,7 @@ func TestDecodeGradientsRejectsCorruption(t *testing.T) {
 	src, _ := model.NewGradientsFor(cfg)
 	fillGradients(src, 3)
 	dst, _ := model.NewGradientsFor(cfg)
-	dense := appendDense(nil, tensorsOf(src))
+	dense := densePayload(t, src)
 
 	fb := feedbackFor(tensorsOf(src))
 	var scratch compress.Sparse

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 
 	"etalstm/internal/rtrace"
 )
@@ -102,6 +103,12 @@ func (f Frame) Sampled() bool { return f.Flags&FlagSampled != 0 }
 // AppendFrame appends f's length-prefixed encoding to dst and returns
 // the extended slice (append-style, alloc-free once dst has capacity).
 func AppendFrame(dst []byte, f Frame) []byte {
+	return append(appendHeader(dst, f, len(f.Body)), f.Body...)
+}
+
+// appendHeader appends the length prefix and pre-body header of f,
+// framing a body of bodyLen bytes that the caller sends after it.
+func appendHeader(dst []byte, f Frame, bodyLen int) []byte {
 	ver := f.Ver
 	if ver == 0 {
 		ver = FrameVersion
@@ -110,8 +117,7 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	if ver >= 2 {
 		hdr = frameHeaderV2
 	}
-	n := hdr + len(f.Body)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(hdr+bodyLen))
 	dst = append(dst, ver, byte(f.Type))
 	dst = binary.BigEndian.AppendUint32(dst, f.Step)
 	if ver >= 2 {
@@ -119,7 +125,7 @@ func AppendFrame(dst []byte, f Frame) []byte {
 		dst = append(dst, f.SpanID[:]...)
 		dst = append(dst, f.Flags)
 	}
-	return append(dst, f.Body...)
+	return dst
 }
 
 // DecodeFrame parses one length-prefixed frame from the front of b,
@@ -160,16 +166,23 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if !typ.valid() {
 		return Frame{}, 0, fmt.Errorf("dist: unknown frame type %d", typ)
 	}
-	f := Frame{Ver: ver, Type: typ, Step: binary.BigEndian.Uint32(b[6:])}
-	off := 4 + frameHeader
-	if ver >= 2 {
+	f := parseHeader(b)
+	f.Body = b[4+hdr : total]
+	return f, total, nil
+}
+
+// parseHeader reads the version, type, step and (v2) trace context of
+// the frame at the front of b, which starts at the length prefix and
+// holds at least the whole header of a version already validated.
+func parseHeader(b []byte) Frame {
+	f := Frame{Ver: b[4], Type: FrameType(b[5]), Step: binary.BigEndian.Uint32(b[6:])}
+	if f.Ver >= 2 {
+		off := 4 + frameHeader
 		copy(f.TraceID[:], b[off:off+16])
 		copy(f.SpanID[:], b[off+16:off+24])
 		f.Flags = b[off+24]
-		off += traceCtxLen
 	}
-	f.Body = b[off:total]
-	return f, total, nil
+	return f
 }
 
 // ReadFrame reads one frame from r into scratch (grown as needed) and
@@ -206,11 +219,49 @@ func ReadFrame(r io.Reader, scratch []byte, maxBody int) (Frame, []byte, error) 
 	return f, scratch, err
 }
 
-// writeFrame encodes f into buf and writes it to w in one call,
-// returning the grown buffer. Single-writer connections reuse buf so
-// the steady-state send path does not allocate.
+// writeFrame writes f to w as its header bytes, built in buf, and its
+// body in one writev, without copying the body; it returns the grown
+// buffer so single-writer connections reuse it across frames.
 func writeFrame(w io.Writer, buf []byte, f Frame) ([]byte, error) {
-	buf = AppendFrame(buf[:0], f)
-	_, err := w.Write(buf)
-	return buf, err
+	vw := vecWriter{w: w, head: appendHeader(buf[:0], f, len(f.Body))}
+	_, err := vw.Write(f.Body)
+	if err == nil {
+		err = vw.flush()
+	}
+	return vw.head, err
+}
+
+// vecWriter sends a frame whose header words are built in head and
+// whose bulk is caller storage: each Write sends the pending head and
+// the written slice together in one writev (on a TCP connection), so
+// the slice is never copied, and keeps neither past the call.
+type vecWriter struct {
+	w    io.Writer
+	head []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+func (v *vecWriter) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	v.vec = [2][]byte{v.head, p}
+	v.bufs = v.vec[:]
+	_, err := v.bufs.WriteTo(v.w)
+	v.head = v.head[:0]
+	if err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// flush sends what is left of head.
+func (v *vecWriter) flush() error {
+	if len(v.head) == 0 {
+		return nil
+	}
+	_, err := v.w.Write(v.head)
+	v.head = v.head[:0]
+	return err
 }

@@ -93,12 +93,10 @@ func (o CoordinatorOptions) handshake() time.Duration {
 // posts an event, and blocks until the collector acks that it has
 // consumed the buffer — so buf never changes under the merge.
 type coordWorker struct {
-	id      int
-	conn    net.Conn
-	bw      *bufio.Writer
-	buf     *model.Gradients
-	maxBody int // largest frame body the agreed geometry allows
-	ack     chan struct{}
+	id   int
+	conn net.Conn
+	buf  *model.Gradients
+	ack  chan struct{}
 }
 
 type coordEvent struct {
@@ -246,10 +244,7 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 			conn.Close()
 			return nil, err
 		}
-		workers = append(workers, &coordWorker{
-			id: len(workers), conn: conn, bw: bufio.NewWriter(conn),
-			buf: buf, maxBody: gradBodyCap(buf), ack: make(chan struct{}, 1),
-		})
+		workers = append(workers, &coordWorker{id: len(workers), conn: conn, buf: buf, ack: make(chan struct{}, 1)})
 	}
 	var wbuf []byte
 	for _, w := range workers {
@@ -257,10 +252,7 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 		binary.BigEndian.PutUint32(body[:4], uint32(w.id))
 		binary.BigEndian.PutUint32(body[4:], uint32(len(workers)))
 		var err error
-		if wbuf, err = writeFrame(w.bw, wbuf, Frame{Type: FrameWelcome, Body: body[:]}); err == nil {
-			err = w.bw.Flush()
-		}
-		if err != nil {
+		if wbuf, err = writeFrame(w.conn, wbuf, Frame{Type: FrameWelcome, Body: body[:]}); err != nil {
 			return nil, fmt.Errorf("dist: welcome to worker %d: %w", w.id, err)
 		}
 	}
@@ -271,18 +263,17 @@ func (c *Coordinator) acceptWorkers() ([]*coordWorker, error) {
 // payloads into the worker's buffer and waiting for the collector's
 // ack before each next read (see coordWorker).
 func (c *Coordinator) reader(w *coordWorker, events chan<- coordEvent) {
-	var scratch []byte
-	br := bufio.NewReader(w.conn)
+	rx := newGradReader(w.conn, FrameGrads, w.buf)
 	for {
-		f, s, err := ReadFrame(br, scratch, w.maxBody)
-		scratch = s
+		f, contribs, size, err := rx.next()
 		if err == io.EOF {
 			events <- coordEvent{id: w.id, gone: true}
 			return
 		}
 		if err != nil {
 			// A malformed, oversized or truncated frame leaves the
-			// stream unframeable: drop the worker and report why.
+			// stream unframeable, and a payload that does not decode
+			// is a faulty peer: drop the worker and report why.
 			w.conn.Close()
 			events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: %w", w.id, err)}
 			return
@@ -292,16 +283,7 @@ func (c *Coordinator) reader(w *coordWorker, events chan<- coordEvent) {
 			events <- coordEvent{id: w.id, gone: true}
 			return
 		case FrameGrads:
-			if len(f.Body) < 4 {
-				events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: short gradient frame", w.id)}
-				return
-			}
-			contribs := int(binary.BigEndian.Uint32(f.Body))
-			if err := decodeGradients(f.Body[4:], w.buf); err != nil {
-				events <- coordEvent{id: w.id, gone: true, err: fmt.Errorf("dist: worker %d: %w", w.id, err)}
-				return
-			}
-			events <- coordEvent{id: w.id, step: f.Step, contribs: contribs, wire: int64(len(f.Body)),
+			events <- coordEvent{id: w.id, step: f.Step, contribs: contribs, wire: int64(size),
 				tid: f.TraceID, sid: f.SpanID}
 			select {
 			case <-w.ack:
@@ -346,7 +328,7 @@ func (c *Coordinator) mergeLoop(workers []*coordWorker) error {
 	lateN := 0
 	var downFB []*compress.Feedback
 	var scratch compress.Sparse
-	var body, sendBuf []byte
+	var body, head []byte
 	denseTmpl := denseBytes(tensorsOf(late))
 
 	quorum := c.opts.Quorum
@@ -483,32 +465,30 @@ func (c *Coordinator) mergeLoop(workers []*coordWorker) error {
 			sp.Attr("stale", "true")
 		}
 
-		// Encode once, broadcast the identical payload to every live
-		// worker — that is what keeps worker weights in lockstep.
-		body = body[:0]
-		body = binary.BigEndian.AppendUint32(body, uint32(total))
-		var payloadWire int64
-		if opt := c.opts.Compression; opt != nil && !opt.warm(int(step)) {
-			tensors := tensorsOf(merged)
-			if downFB == nil {
-				downFB = feedbackFor(tensors)
-			}
-			var wire int64
-			body, wire, _ = appendSparse(body, tensors, downFB, *opt, &scratch)
-			payloadWire = wire
-		} else {
-			body = appendDense(body, tensorsOf(merged))
-			payloadWire = denseTmpl
-		}
+		// Broadcast the identical payload to every live worker — that
+		// is what keeps worker weights in lockstep. A sparse payload is
+		// encoded once; a dense one is sent from the merged tensors.
+		tensors := tensorsOf(merged)
 		var flags byte
 		if sp.Sampled() {
 			flags |= FlagSampled
 		}
+		fr := Frame{Type: FrameMerged, Step: step, TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}
+		payloadWire := denseTmpl
+		if opt := c.opts.Compression; opt != nil && !opt.warm(int(step)) {
+			if downFB == nil {
+				downFB = feedbackFor(tensors)
+			}
+			body = binary.BigEndian.AppendUint32(body[:0], uint32(total))
+			body, payloadWire, _ = appendSparse(body, tensors, downFB, *opt, &scratch)
+			fr.Body = body
+		}
 		for _, w := range live2slice(byID, live) {
 			var werr error
-			if sendBuf, werr = writeFrame(w.bw, sendBuf, Frame{Type: FrameMerged, Step: step, Body: body,
-				TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}); werr == nil {
-				werr = w.bw.Flush()
+			if fr.Body != nil {
+				head, werr = writeFrame(w.conn, head, fr)
+			} else {
+				head, werr = writeDense(w.conn, head, fr, total, tensors)
 			}
 			if werr != nil {
 				delete(live, w.id)
@@ -582,7 +562,6 @@ type WorkerOptions struct {
 // tree all-reduce would run.
 type Worker struct {
 	conn  net.Conn
-	br    *bufio.Reader
 	id    int
 	total int
 	cfg   model.Config
@@ -590,12 +569,11 @@ type Worker struct {
 
 	step    uint32
 	recv    *model.Gradients
-	maxBody int // largest frame body the agreed geometry allows
+	rx      *gradReader
 	fb      []*compress.Feedback
 	scratch compress.Sparse
-	body    []byte
-	sendBuf []byte
-	readBuf []byte
+	body    []byte // sparse payload
+	head    []byte // frame header words
 
 	wire, dense int64
 	closed      bool
@@ -643,7 +621,7 @@ func Dial(addr string, cfg model.Config, opts WorkerOptions) (*Worker, error) {
 	}
 	conn.SetReadDeadline(time.Now().Add(timeout))
 	br := bufio.NewReader(conn)
-	f, readBuf, err := ReadFrame(br, nil, handshakeBodyMax)
+	f, _, err := ReadFrame(br, nil, handshakeBodyMax)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: awaiting welcome: %w", err)
@@ -669,10 +647,10 @@ func Dial(addr string, cfg model.Config, opts WorkerOptions) (*Worker, error) {
 		return nil, err
 	}
 	return &Worker{
-		conn: conn, br: br, cfg: cfg, opts: opts, maxBody: gradBodyCap(recv),
+		conn: conn, cfg: cfg, opts: opts,
 		id:    int(binary.BigEndian.Uint32(f.Body[:4])),
 		total: int(binary.BigEndian.Uint32(f.Body[4:])),
-		recv:  recv, readBuf: readBuf,
+		recv:  recv, rx: newGradReader(br, FrameMerged, recv),
 	}, nil
 }
 
@@ -726,38 +704,37 @@ func (w *Worker) Reduce(local []*model.Gradients) (*model.Gradients, int, error)
 	sp.Attr("worker", strconv.Itoa(w.id))
 	sp.Attr("step", strconv.Itoa(int(w.step)))
 	sum := TreeReduce(local)
-	w.body = w.body[:0]
-	w.body = binary.BigEndian.AppendUint32(w.body, uint32(len(local)))
 	tensors := tensorsOf(sum)
 	dense := denseBytes(tensors)
-	var upWire int64
-	if opt := w.opts.Compression; opt != nil && !opt.warm(int(w.step)) {
-		if w.fb == nil {
-			w.fb = feedbackFor(tensors)
-		}
-		var wire int64
-		w.body, wire, _ = appendSparse(w.body, tensors, w.fb, *opt, &w.scratch)
-		upWire = wire
-	} else {
-		w.body = appendDense(w.body, tensors)
-		upWire = dense
-	}
 	var flags byte
 	if sp.Sampled() {
 		flags |= FlagSampled
 	}
+	fr := Frame{Type: FrameGrads, Step: w.step, TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}
+	upWire := dense
 	var err error
-	if w.sendBuf, err = writeFrame(w.conn, w.sendBuf, Frame{Type: FrameGrads, Step: w.step, Body: w.body,
-		TraceID: sp.TraceID(), SpanID: sp.SpanID(), Flags: flags}); err != nil {
+	if opt := w.opts.Compression; opt != nil && !opt.warm(int(w.step)) {
+		if w.fb == nil {
+			w.fb = feedbackFor(tensors)
+		}
+		w.body = binary.BigEndian.AppendUint32(w.body[:0], uint32(len(local)))
+		w.body, upWire, _ = appendSparse(w.body, tensors, w.fb, *opt, &w.scratch)
+		fr.Body = w.body
+		w.head, err = writeFrame(w.conn, w.head, fr)
+	} else {
+		w.head, err = writeDense(w.conn, w.head, fr, len(local), tensors)
+	}
+	if err != nil {
 		err = fmt.Errorf("dist: sending step %d: %w", w.step, err)
 		sp.FinishErr(err)
 		return nil, 0, err
 	}
 
-	f, readBuf, err := ReadFrame(w.br, w.readBuf, w.maxBody)
-	w.readBuf = readBuf
+	f, total, size, err := w.rx.next()
 	if err != nil {
-		// The stream cannot be re-framed after a bad frame: close it.
+		// The stream cannot be re-framed after a bad frame, and a
+		// merged payload that does not decode leaves nothing to apply:
+		// close it.
 		w.closed = true
 		w.conn.Close()
 		err = fmt.Errorf("dist: awaiting merged step %d: %w", w.step, err)
@@ -780,22 +757,12 @@ func (w *Worker) Reduce(local []*model.Gradients) (*model.Gradients, int, error)
 		sp.FinishErr(err)
 		return nil, 0, err
 	}
-	if len(f.Body) < 4 {
-		err = fmt.Errorf("dist: short merged frame")
-		sp.FinishErr(err)
-		return nil, 0, err
-	}
 	// Re-parent onto the coordinator's step trace: the broadcast is the
 	// first moment this worker learns which trace the step belongs to.
 	if f.Traced() {
 		sp.Adopt(f.TraceID, f.SpanID, f.Sampled())
 	}
-	total := int(binary.BigEndian.Uint32(f.Body))
-	if err := decodeGradients(f.Body[4:], w.recv); err != nil {
-		sp.FinishErr(err)
-		return nil, 0, err
-	}
-	downWire := int64(len(f.Body) - 4)
+	downWire := int64(size - 4)
 	w.wire += upWire + downWire
 	w.dense += 2 * dense
 	ins := lazyDist(&w.opts.Metrics)
@@ -818,6 +785,6 @@ func (w *Worker) Close() error {
 		return nil
 	}
 	w.closed = true
-	writeFrame(w.conn, w.sendBuf, Frame{Type: FrameBye})
+	writeFrame(w.conn, w.head, Frame{Type: FrameBye})
 	return w.conn.Close()
 }

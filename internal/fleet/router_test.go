@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -190,16 +192,40 @@ func TestRouterStickyRouting(t *testing.T) {
 }
 
 // TestRouterStatelessSpread: session-less requests spread over the
-// fleet by body digest with a load tiebreak.
+// fleet by body digest with a load tiebreak. The 90 requests carry 90
+// distinct bodies, so the spread measures the digest hash over the
+// ring rather than how a handful of repeated keys happen to land; and
+// sequential requests leave every in-flight count at zero, so the
+// tiebreak never fires and each request must reach its key's ring
+// owner.
 func TestRouterStatelessSpread(t *testing.T) {
 	fakes := []*fakeReplica{newFakeReplica(t, 0, 0), newFakeReplica(t, 0, 0), newFakeReplica(t, 0, 0)}
 	rt := testRouter(t, Options{}, fakes...)
 	hs := httptest.NewServer(rt.Handler())
 	defer hs.Close()
 
+	byURL := make(map[string]*fakeReplica, len(fakes))
+	for _, f := range fakes {
+		byURL[f.hs.URL] = f
+	}
 	for i := 0; i < 90; i++ {
-		if code := postInferJSON(t, hs.Client(), hs.URL, "", i); code != 200 {
-			t.Fatalf("request %d: HTTP %d", i, code)
+		body := fmt.Sprintf(`{"inputs":[[0.1,0.2,0.3,%d.5]]}`, i)
+		sum := sha256.Sum256([]byte(body))
+		rt.mu.Lock()
+		owner := rt.members[rt.ring.LookupN("d:"+hex.EncodeToString(sum[:8]), 2)[0]].url
+		rt.mu.Unlock()
+		before := byURL[owner].count()
+		resp, err := hs.Client().Post(hs.URL+"/v1/infer", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("request %d: HTTP %d", i, resp.StatusCode)
+		}
+		if got := byURL[owner].count(); got != before+1 {
+			t.Fatalf("request %d did not reach its ring owner %s under tied in-flight load", i, owner)
 		}
 	}
 	for i, f := range fakes {

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,6 +37,7 @@ import (
 	"etalstm/internal/lstm"
 	"etalstm/internal/model"
 	"etalstm/internal/rng"
+	"etalstm/internal/tensor"
 )
 
 var (
@@ -68,21 +68,21 @@ func payload(net *model.Network) ([]byte, error) {
 	}
 	for _, p := range net.Layer {
 		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
-			if err := writeFloats(bw, p.W[g].Data); err != nil {
+			if err := tensor.WriteLE(bw, p.W[g].Data); err != nil {
 				return nil, err
 			}
-			if err := writeFloats(bw, p.U[g].Data); err != nil {
+			if err := tensor.WriteLE(bw, p.U[g].Data); err != nil {
 				return nil, err
 			}
-			if err := writeFloats(bw, p.B[g]); err != nil {
+			if err := tensor.WriteLE(bw, p.B[g]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := writeFloats(bw, net.Proj.Data); err != nil {
+	if err := tensor.WriteLE(bw, net.Proj.Data); err != nil {
 		return nil, err
 	}
-	if err := writeFloats(bw, net.ProjB); err != nil {
+	if err := tensor.WriteLE(bw, net.ProjB); err != nil {
 		return nil, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -271,22 +271,11 @@ func CheckConfig(got, want model.Config) error {
 	return fmt.Errorf("persist: checkpoint config mismatch: %s", strings.Join(diffs, ", "))
 }
 
-func writeFloats(w io.Writer, fs []float32) error {
-	buf := make([]byte, 4*len(fs))
-	for i, f := range fs {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
+// readFloats fills fs from little-endian float32 bits, straight into
+// its storage on little-endian hosts (tensor.ReadLE).
 func readFloats(r io.Reader, fs []float32) error {
-	buf := make([]byte, 4*len(fs))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := tensor.ReadLE(r, fs); err != nil {
 		return fmt.Errorf("persist: reading weights: %w", err)
-	}
-	for i := range fs {
-		fs[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 	return nil
 }

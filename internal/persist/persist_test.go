@@ -3,9 +3,11 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -419,5 +421,49 @@ func TestSaveFileCrashKeepsPreviousCheckpoint(t *testing.T) {
 	}
 	if wantNext, _ := Digest(next); digest != wantNext {
 		t.Fatalf("after the retry the checkpoint digest is %s, want %s", digest, wantNext)
+	}
+}
+
+// TestPayloadLayoutPinned: the payload is the documented layout, every
+// float written as its little-endian bits, byte for byte what an
+// element-by-element encoding/binary writer produces; and the test
+// network's content digest is pinned, so a change to how floats are
+// written cannot move checkpoint bytes or digests unnoticed.
+func TestPayloadLayoutPinned(t *testing.T) {
+	net := testNet(t)
+	var want bytes.Buffer
+	cfg := net.Cfg
+	for _, v := range []int64{int64(cfg.InputSize), int64(cfg.Hidden), int64(cfg.Layers),
+		int64(cfg.SeqLen), int64(cfg.Batch), int64(cfg.OutSize), int64(cfg.Loss)} {
+		binary.Write(&want, binary.LittleEndian, v)
+	}
+	floats := func(fs []float32) {
+		for _, f := range fs {
+			binary.Write(&want, binary.LittleEndian, math.Float32bits(f))
+		}
+	}
+	for _, p := range net.Layer {
+		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
+			floats(p.W[g].Data)
+			floats(p.U[g].Data)
+			floats(p.B[g])
+		}
+	}
+	floats(net.Proj.Data)
+	floats(net.ProjB)
+	got, err := payload(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("checkpoint payload differs from the element-by-element little-endian layout")
+	}
+	d, err := Digest(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pinned = "dbdca648619cc5d88ef073964bda81ab9f6e83f0f8b1f5b69983484aff899d95"
+	if d != pinned {
+		t.Fatalf("test network digest %s, pinned %s", d, pinned)
 	}
 }

@@ -65,14 +65,16 @@ func (s *SGD) Step(net *model.Network, grads *model.Gradients) {
 	if s.Momentum != 0 && s.vel == nil {
 		s.vel = newVelocity(net)
 	}
+	// Every product feeding an add is rounded explicitly, so arm64
+	// cannot fuse it into an FMA (make fma-check).
 	applyVec := func(param, grad, vel []float32) {
 		for i := range param {
 			g := grad[i]
 			if vel != nil {
-				vel[i] = s.Momentum*vel[i] + g
+				vel[i] = float32(s.Momentum*vel[i]) + g
 				g = vel[i]
 			}
-			param[i] -= s.LR * g
+			param[i] -= float32(s.LR * g)
 		}
 	}
 	for l, p := range net.Layer {
@@ -133,11 +135,12 @@ func (a *Adam) Step(net *model.Network, grads *model.Gradients) {
 	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.t)))
 	bc2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.t)))
 
+	// Products are rounded explicitly, as in SGD.Step.
 	applyVec := func(param, grad, m, v []float32) {
 		for i := range param {
 			g := grad[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float32(a.Beta1*m[i]) + float32((1-a.Beta1)*g)
+			v[i] = float32(a.Beta2*v[i]) + float32((1-a.Beta2)*g*g)
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			param[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
@@ -159,7 +162,7 @@ func (a *Adam) Step(net *model.Network, grads *model.Gradients) {
 // It returns the pre-clip norm.
 func ClipGradients(grads *model.Gradients, maxNorm float64) float64 {
 	var sq float64
-	add := func(v float32) { sq += float64(v) * float64(v) }
+	add := func(v float32) { sq += float64(float64(v) * float64(v)) } // rounded: no FMA
 	for _, lg := range grads.Layer {
 		for g := lstm.Gate(0); g < lstm.NumGates; g++ {
 			for _, v := range lg.W[g].Data {
